@@ -3,7 +3,8 @@
 #
 #   scripts/check.sh            # from the repository root
 #
-# Exits non-zero if the tests fail, if the traced phone-book demo
+# Exits non-zero if the tests fail, if the end-to-end server suite
+# fails on any of 20 reruns, if the traced phone-book demo
 # fails, if the resulting trace does not cover all event families or
 # lacks a real span tree, if the demo's per-kind event counts drift
 # past the committed baseline (benchmarks/.metrics/baseline.json —
@@ -36,6 +37,17 @@ export PYTHONPATH
 
 echo "==> tier-1: pytest"
 python -m pytest -x -q
+
+# Server start/drain races show up one run in a few, so one pass of
+# the suite proves little: rerun the end-to-end server tests 20 times.
+echo "==> repeat: serve end-to-end suite x20 (drain races)"
+run=1
+while [ "$run" -le 20 ]; do
+    echo "rerun $run/20"
+    python -m pytest -x -q tests/test_serve.py::TestServerEndToEnd
+    run=$((run + 1))
+done
+echo "serve end-to-end suite: 20/20 reruns passed"
 
 echo "==> smoke: traced phone-book demo"
 trace_file="$(mktemp)"

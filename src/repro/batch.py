@@ -48,6 +48,7 @@ See ``docs/ROBUSTNESS.md`` for the full model.
 from __future__ import annotations
 
 import json
+import random
 import time
 from contextlib import nullcontext
 from pathlib import Path
@@ -55,50 +56,23 @@ from typing import Callable, Iterable
 
 from repro import limits as _limits
 from repro import obs
-from repro.dynlink.loader import load_with_retry
-from repro.lang.errors import LangError
-from repro.lang.interp import Interpreter
-from repro.lang.parser import parse_script
-from repro.lang.values import to_write_string
-from repro.units.check import check_program
+from repro.serve.handlers import RECORDED_ERRORS, error_payload, run_pipeline
 
 #: Version tag carried by every batch record.
 RECORD_SCHEMA = "batch1"
 
-#: Exceptions a batch item may fail with and still be *recorded* rather
-#: than aborting the batch.  ``LangError`` covers the repo's whole
-#: taxonomy (parse, check, type, link, run-time, archive, and budget
-#: errors); ``RecursionError`` is the raw Python failure an ungoverned
-#: deep program can still hit; ``OSError`` covers unreadable files.
-RECORDED_ERRORS = (LangError, RecursionError, OSError)
-
-
-def error_payload(err: BaseException) -> dict[str, object]:
-    """The ``error`` object of a failure record."""
-    payload: dict[str, object] = {
-        "type": type(err).__name__,
-        "message": str(err),
-    }
-    if isinstance(err, _limits.BudgetExceeded):
-        payload["resource"] = err.resource
-        payload["limit"] = err.limit
-        payload["used"] = err.used
-    loc = getattr(err, "loc", None)
-    if loc is not None:
-        payload["loc"] = str(loc)
-    return payload
-
 
 def run_item(path: str | Path, budget: _limits.Budget | None, *,
              lenient: bool = False, retries: int = 0,
-             sleep: Callable[[float], None] | None = None,
-             rng: Callable[[], float] | None = None,
+             sleep: Callable[[float], None] = time.sleep,
+             rng: Callable[[], float] = random.random,
              backend: str = "interp",
              ) -> dict[str, object]:
     """Run one program under its own budget; return its record.
 
-    The full pipeline runs inside the budget's scope — read, parse,
-    check, optional archive round-trip, evaluate — so every governed
+    The file is read and run through the shared pipeline
+    (:func:`repro.serve.handlers.run_pipeline`: parse, check, archive
+    round-trip, evaluate) inside the budget's scope, so every governed
     subsystem charges this item's allowance and nothing leaks to the
     next item.
 
@@ -112,35 +86,19 @@ def run_item(path: str | Path, budget: _limits.Budget | None, *,
         "schema": RECORD_SCHEMA,
         "file": str(path),
     }
-    kwargs: dict[str, object] = {}
-    if sleep is not None:
-        kwargs["sleep"] = sleep
-    if rng is not None:
-        kwargs["rng"] = rng
     timings: dict[str, float] = {}
     t_item = time.perf_counter()
     try:
         with _limits.budget_scope(budget):
             with obs.span("stage.item", {"file": str(path)}):
-                t = time.perf_counter()
-                with obs.span("stage.parse"):
-                    text = Path(path).read_text()
-                    expr = parse_script(text, origin=str(path))
-                timings["parse"] = time.perf_counter() - t
-                t = time.perf_counter()
-                with obs.span("stage.check"):
-                    check_program(expr, strict_valuable=not lenient)
-                timings["check"] = time.perf_counter() - t
-                t = time.perf_counter()
-                with obs.span("stage.archive"):
-                    _archive_roundtrip(expr, str(path), retries, **kwargs)
-                timings["archive"] = time.perf_counter() - t
-                t = time.perf_counter()
-                with obs.span("stage.eval"):
-                    value, output = _eval_stage(expr, backend)
-                timings["eval"] = time.perf_counter() - t
+                request = {"op": "run", "source": Path(path).read_text(),
+                           "origin": str(path), "backend": backend,
+                           "lenient": lenient, "archive": True,
+                           "retries": retries}
+                value, output = run_pipeline(request, timings,
+                                             sleep=sleep, rng=rng)
                 record["status"] = "ok"
-                record["value"] = to_write_string(value)
+                record["value"] = value
                 record["output"] = output
     except RECORDED_ERRORS as err:
         record["status"] = "error"
@@ -152,49 +110,12 @@ def run_item(path: str | Path, budget: _limits.Budget | None, *,
     return record
 
 
-def _eval_stage(expr, backend: str) -> tuple[object, str]:
-    """Evaluate a checked program with the selected backend."""
-    if backend == "pycode":
-        from repro import backend as _backend
-
-        return _backend.compile_program(expr).run()
-    if backend == "machine":
-        from repro.lang.ast import Lit
-        from repro.lang.machine import machine_eval
-
-        final, output = machine_eval(expr)
-        return (final.value if isinstance(final, Lit) else final), output
-    interp = Interpreter()
-    return interp.eval(expr), interp.port.getvalue()
-
-
-def _archive_roundtrip(expr, name: str, retries: int, **kwargs) -> None:
-    """Round-trip a unit-form program through the archive layer.
-
-    Mirrors ``repro demo``: programs whose (invoked) body is a unit
-    exercise the Figure 7 retrieval checks too.  Retrieval runs under
-    :func:`~repro.dynlink.loader.load_with_retry` so a transiently
-    failing archive tier gets ``retries`` extra attempts.
-    """
-    from repro.dynlink.archive import UnitArchive
-    from repro.units.ast import InvokeExpr, UnitExpr
-
-    unit = expr.expr if isinstance(expr, InvokeExpr) else expr
-    if not isinstance(unit, UnitExpr):
-        return
-    archive = UnitArchive()
-    archive.put_unit(name, unit)
-    load_with_retry(
-        lambda: archive.retrieve_untyped(name, unit.imports, unit.exports),
-        retries=retries, **kwargs)
-
-
 def run_batch(paths: Iterable[str | Path],
               make_budget: Callable[[], _limits.Budget | None], *,
               lenient: bool = False, retries: int = 0,
               fail_fast: bool = False,
-              sleep: Callable[[float], None] | None = None,
-              rng: Callable[[], float] | None = None,
+              sleep: Callable[[float], None] = time.sleep,
+              rng: Callable[[], float] = random.random,
               on_record: Callable[[dict[str, object]], None] | None = None,
               registry: "obs.MetricsRegistry | None" = None,
               backend: str = "interp",

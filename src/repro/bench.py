@@ -1,8 +1,11 @@
 """The benchmark trajectory: cached vs ``--no-term-cache`` pipelines.
 
-``repro bench`` times the whole untyped pipeline — Figure 10 checking,
-static linking, Figure 12 compilation, and big-step evaluation — over
-parameterized workloads, in three configurations:
+``repro bench`` times the pipeline the link server runs — parse,
+Figure 10 checking, static linking, and evaluation on the selected
+backend — over parameterized workloads.  Each case's program text goes
+through :func:`repro.serve.handlers.run_pipeline` as a ``link`` request
+and a ``run`` request, exactly as a client of ``repro serve`` would
+send them, in three configurations:
 
 * **uncached** — the term-performance layer off (what
   ``--no-term-cache`` runs): no memoized free variables, no
@@ -22,22 +25,23 @@ Workloads:
 * ``sharing-N`` — N copies of one 24-definition library unit linked
   into a program (the paper's footnote-8 code-sharing scenario): the
   content-addressed compile/check caches collapse the copies, so even
-  a cold run compiles the library once;
+  a cold run checks the library once;
 * ``phonebook`` — ``examples/phonebook.scm``, the paper's running
   example, as a realistic small program.
 
 Each case reports best-of-``repeats`` wall seconds per configuration,
-per-stage breakdowns (with ``link.flatten``/``link.optimize``
-sub-timings; compile and eval consume the *linked* program, so
-compound resolution is attributed to ``link``), per-stage
-p50/p90/p99 latency over all repeats (via the telemetry
-:class:`~repro.obs.metrics.Histogram`, so bench and live metrics
-estimate quantiles the same way), and the speedups ``uncached /
-cached`` and ``uncached / warm``.  Results go to
-``BENCH_results.json``; a ``metrics1`` snapshot (``--snapshot``)
-records the ``cache.*`` hit/miss activity and per-kind latency
-histograms in the format ``repro trace diff`` and ``repro metrics``
-read.  docs/PERFORMANCE.md explains how to read both.
+per-stage breakdowns (:data:`STAGES`: ``parse``, ``check``, ``link``
+with its ``link.flatten``/``link.optimize`` sub-timings, and ``eval``
+— for ``pycode``, codegen plus the run), per-stage
+p50/p90/p99 latency with its sample count over all repeats (via
+:func:`percentiles`, the telemetry
+:class:`~repro.obs.metrics.Histogram` path ``repro bench --serve``
+shares), and the speedups ``uncached / cached`` and ``uncached /
+warm``.  Results go to ``BENCH_results.json``; a ``metrics1`` snapshot
+(``--snapshot``) records the ``cache.*`` hit/miss activity and
+per-kind latency histograms in the format ``repro trace diff`` and
+``repro metrics`` read.  docs/PERFORMANCE.md explains how to read
+both.
 """
 
 from __future__ import annotations
@@ -46,27 +50,24 @@ import json
 import sys
 import time
 from pathlib import Path
-from typing import Callable
+from typing import Callable, Iterable
 
 from repro.lang import terms as _terms
 from repro.lang.ast import Expr
-from repro.lang.interp import Interpreter
-from repro.lang.parser import parse_script
-from repro.limits import python_recursion_headroom
+from repro.lang.pretty import show
+from repro.limits import Budget, budget_scope, python_recursion_headroom
 from repro.linking.graph import LinkGraph
+from repro.serve.handlers import MAX_DEPTH, run_pipeline
 from repro.units.ast import InvokeExpr
 from repro.units.cache import unit_cache_scope
-from repro.units.check import check_program
-from repro.units.compile import compile_expr
-from repro.units.linker import link_and_optimize
 
-STAGES = ("check", "link", "link.flatten", "link.optimize",
-          "compile", "eval")
+STAGES = ("parse", "check", "link", "link.flatten", "link.optimize",
+          "eval")
 
 
 # ---------------------------------------------------------------------------
-# Workload builders.  Each returns a *fresh* AST per call: memo fields
-# live on nodes, so reusing one AST would leak warmth into cold runs.
+# Workload builders.  Each returns a fresh AST per call; the bench
+# times the pipeline on its text.
 # ---------------------------------------------------------------------------
 
 
@@ -114,9 +115,8 @@ def _phonebook_path() -> Path:
     return Path(__file__).resolve().parents[2] / "examples" / "phonebook.scm"
 
 
-def phonebook_program() -> Expr:
-    return parse_script(_phonebook_path().read_text(),
-                        origin=str(_phonebook_path()))
+def phonebook_source() -> str:
+    return _phonebook_path().read_text()
 
 
 # ---------------------------------------------------------------------------
@@ -124,34 +124,30 @@ def phonebook_program() -> Expr:
 # ---------------------------------------------------------------------------
 
 
-def _pipeline(program: Expr) -> dict[str, float]:
-    """Run check -> link -> compile -> eval, returning stage seconds.
+def _pipeline(program: Expr | str,
+              backend: str = "pycode") -> dict[str, float]:
+    """Serve ``program`` as the link server would; return stage seconds.
 
-    The *linked* program is what compile and eval consume: compile and
-    eval of the raw program would silently re-resolve every compound,
-    misattributing subgraph re-resolution (the dominant cost of the
-    ``sharing-*`` cases) to the ``compile``/``eval`` stages instead of
-    ``link``.  The link stage also reports its ``flatten``/``optimize``
-    sub-timings as ``link.flatten``/``link.optimize``.
+    The program's text goes through the shared pipeline
+    (:func:`repro.serve.handlers.run_pipeline`) twice, as a ``link``
+    request and as a ``run`` request on ``backend``, each under the
+    depth cap of a served request's budget, so every stage timed here
+    is a stage the server runs.  Stage seconds are summed over both
+    requests (the second parse and check are what a client sending
+    both ops pays); the link stage also reports its ``flatten``/
+    ``optimize`` sub-timings as ``link.flatten``/``link.optimize``.
     """
-    stages: dict[str, float] = {}
-    link_timings: dict[str, float] = {}
+    source = program if isinstance(program, str) else show(program)
+    stages = dict.fromkeys(STAGES, 0.0)
     t0 = time.perf_counter()
-    check_program(program, strict_valuable=False)
-    t1 = time.perf_counter()
-    linked, _stats = link_and_optimize(program, timings=link_timings)
-    t2 = time.perf_counter()
-    compile_expr(linked)
-    t3 = time.perf_counter()
-    Interpreter().eval(linked)
-    t4 = time.perf_counter()
-    stages["check"] = t1 - t0
-    stages["link"] = t2 - t1
-    stages["link.flatten"] = link_timings.get("flatten", 0.0)
-    stages["link.optimize"] = link_timings.get("optimize", 0.0)
-    stages["compile"] = t3 - t2
-    stages["eval"] = t4 - t3
-    stages["total"] = t4 - t0
+    for op in ("link", "run"):
+        timings: dict[str, float] = {}
+        with budget_scope(Budget(max_depth=MAX_DEPTH)):
+            run_pipeline({"op": op, "source": source, "origin": "<bench>",
+                          "backend": backend, "lenient": True}, timings)
+        for stage, seconds in timings.items():
+            stages[stage] += seconds
+    stages["total"] = time.perf_counter() - t0
     return stages
 
 
@@ -160,40 +156,34 @@ def _best(runs: list[dict[str, float]]) -> dict[str, float]:
     return min(runs, key=lambda r: r["total"])
 
 
-def _stage_percentiles(runs: list[dict[str, float]]
-                       ) -> dict[str, dict[str, float]]:
-    """Per-stage latency percentiles over *all* repeats of one config.
+def percentiles(samples: Iterable[float]) -> dict[str, float]:
+    """``count``, p50/p90/p99 and ``max`` of ``samples`` (seconds).
 
-    Best-of reporting answers "how fast can it go"; the percentiles
-    answer "how fast is it usually" — the tail matters once the same
-    pipeline serves traffic.  Samples go through the telemetry
-    :class:`~repro.obs.metrics.Histogram` so bench and the live
-    metrics layer estimate quantiles identically.
+    Samples go through the telemetry
+    :class:`~repro.obs.metrics.Histogram`, so the bench, the serve
+    load generator, and the live metrics layer estimate quantiles
+    identically; the count rides along so a tail taken from a handful
+    of samples reads as such.
     """
-    from repro.obs.metrics import Histogram
+    from repro.obs.metrics import PERCENTILES, Histogram
 
-    out: dict[str, dict[str, float]] = {}
-    for stage in STAGES + ("total",):
-        hist = Histogram()
-        for run in runs:
-            hist.record(run.get(stage, 0.0))
-        out[stage] = {
-            "count": hist.count,
-            "p50": round(hist.percentile(0.5), 6),
-            "p90": round(hist.percentile(0.9), 6),
-            "p99": round(hist.percentile(0.99), 6),
-            "max": round(hist.max, 6),
-        }
+    hist = Histogram()
+    for sample in samples:
+        hist.record(sample)
+    out: dict[str, float] = {"count": hist.count}
+    for q in PERCENTILES:
+        out[f"p{int(q * 100)}"] = round(hist.percentile(q), 6)
+    out["max"] = round(hist.max, 6)
     return out
 
 
-def _time_case(name: str, build: Callable[[], Expr],
-               repeats: int) -> dict[str, object]:
+def _time_case(name: str, build: Callable[[], Expr | str],
+               repeats: int, backend: str) -> dict[str, object]:
     uncached_runs = []
     prev = _terms.set_caching(False)
     try:
         for _ in range(repeats):
-            uncached_runs.append(_pipeline(build()))
+            uncached_runs.append(_pipeline(build(), backend))
     finally:
         _terms.set_caching(prev)
 
@@ -201,82 +191,38 @@ def _time_case(name: str, build: Callable[[], Expr],
     for _ in range(repeats):
         _terms.clear_intern_table()
         with unit_cache_scope():
-            cold_runs.append(_pipeline(build()))
+            cold_runs.append(_pipeline(build(), backend))
 
     warm_runs = []
     with unit_cache_scope():
-        _pipeline(build())  # priming pass
+        _pipeline(build(), backend)  # priming pass
         for _ in range(repeats):
-            warm_runs.append(_pipeline(build()))
+            warm_runs.append(_pipeline(build(), backend))
 
-    uncached, cold, warm = (_best(uncached_runs), _best(cold_runs),
-                            _best(warm_runs))
+    configs = {"uncached": uncached_runs, "cached": cold_runs,
+               "warm": warm_runs}
+    best = {config: _best(runs) for config, runs in configs.items()}
+    uncached = best["uncached"]["total"]
     return {
         "case": name,
         "repeats": repeats,
-        "uncached_s": round(uncached["total"], 6),
-        "cached_s": round(cold["total"], 6),
-        "warm_s": round(warm["total"], 6),
-        "speedup": round(uncached["total"] / cold["total"], 3),
-        "warm_speedup": round(uncached["total"] / warm["total"], 3),
-        "stages": {
-            "uncached": {k: round(uncached[k], 6) for k in STAGES},
-            "cached": {k: round(cold[k], 6) for k in STAGES},
-            "warm": {k: round(warm[k], 6) for k in STAGES},
-        },
+        "uncached_s": round(uncached, 6),
+        "cached_s": round(best["cached"]["total"], 6),
+        "warm_s": round(best["warm"]["total"], 6),
+        "speedup": round(uncached / best["cached"]["total"], 3),
+        "warm_speedup": round(uncached / best["warm"]["total"], 3),
+        "stages": {config: {k: round(run[k], 6) for k in STAGES}
+                   for config, run in best.items()},
+        # Best-of answers "how fast can it go"; the percentiles over
+        # all repeats answer "how fast is it usually".
         "percentiles": {
-            "uncached": _stage_percentiles(uncached_runs),
-            "cached": _stage_percentiles(cold_runs),
-            "warm": _stage_percentiles(warm_runs),
-        },
+            config: {stage: percentiles(run[stage] for run in runs)
+                     for stage in STAGES + ("total",)}
+            for config, runs in configs.items()},
     }
 
 
-def _backend_compare(build: Callable[[], Expr],
-                     repeats: int) -> dict[str, float]:
-    """Interp vs the pycode backend, on the same linked program.
-
-    Codegen is timed twice inside one fresh cache scope — the cold
-    call generates and compiles, the warm call is a content-addressed
-    hit on the program's digest — and eval is best-of-``repeats`` for
-    both evaluators, so the column isolates pure evaluation speed from
-    compilation cost.
-    """
-    from repro import backend as _backend
-
-    times: dict[str, float] = {}
-    with unit_cache_scope():
-        program = build()
-        check_program(program, strict_valuable=False)
-        linked, _stats = link_and_optimize(program)
-
-        t = time.perf_counter()
-        prog = _backend.compile_program(linked)
-        times["pycode_codegen_s"] = time.perf_counter() - t
-        t = time.perf_counter()
-        _backend.compile_program(linked)
-        times["pycode_codegen_warm_s"] = time.perf_counter() - t
-
-        # One untimed run each: the backend's first Runtime pays the
-        # process-wide prelude compilation, the interpreter its lazy
-        # imports — one-time costs, not eval speed.
-        Interpreter().eval(linked)
-        prog.run()
-        interp_best = pycode_best = float("inf")
-        for _ in range(max(repeats, 1)):
-            t = time.perf_counter()
-            Interpreter().eval(linked)
-            interp_best = min(interp_best, time.perf_counter() - t)
-            t = time.perf_counter()
-            prog.run()
-            pycode_best = min(pycode_best, time.perf_counter() - t)
-    times["interp_eval_s"] = interp_best
-    times["pycode_eval_s"] = pycode_best
-    times["eval_speedup"] = interp_best / pycode_best if pycode_best else 0.0
-    return {k: round(v, 6) for k, v in times.items()}
-
-
-def _cache_counters(build: Callable[[], Expr]):
+def _cache_counters(build: Callable[[], Expr | str], backend: str):
     """One primed, traced pipeline pass; returns (collector, counters).
 
     Untimed — its only job is recording the ``cache.*`` hit/miss
@@ -286,9 +232,9 @@ def _cache_counters(build: Callable[[], Expr]):
 
     collector = obs.Collector()
     with unit_cache_scope():
-        _pipeline(build())
+        _pipeline(build(), backend)
         with obs.collecting(collector):
-            _pipeline(build())
+            _pipeline(build(), backend)
     return collector
 
 
@@ -297,10 +243,8 @@ def run_bench(quick: bool = False, out: str = "BENCH_results.json",
               backend: str = "pycode") -> int:
     """The ``repro bench`` driver.  Returns a process exit status.
 
-    With ``backend="pycode"`` (the default) every case also carries a
-    ``backends`` comparison column: interpreter vs Python-closure
-    backend eval on the same linked program, plus cold/warm codegen
-    cost.  ``backend="interp"`` skips the column.
+    ``backend`` is the evaluator of every ``run`` request
+    (``pycode``, the server's default, or ``interp``).
     """
     # The 256-unit chains legitimately recurse deeper than CPython's
     # default stack allowance; take scoped headroom instead of mutating
@@ -310,9 +254,9 @@ def run_bench(quick: bool = False, out: str = "BENCH_results.json",
 
 
 def _run_bench(quick: bool, out: str, snapshot: str | None,
-               backend: str = "pycode") -> int:
+               backend: str) -> int:
     if quick:
-        cases: list[tuple[str, Callable[[], Expr]]] = [
+        cases: list[tuple[str, Callable[[], Expr | str]]] = [
             ("chain-032", lambda: chain_program(32)),
             ("sharing-016", lambda: sharing_program(16)),
         ]
@@ -327,32 +271,24 @@ def _run_bench(quick: bool, out: str, snapshot: str | None,
         ]
         repeats = 3
     if _phonebook_path().exists():
-        cases.append(("phonebook", phonebook_program))
+        cases.append(("phonebook", phonebook_source))
 
     results = []
     for name, build in cases:
         print(f"bench: {name} ({repeats} repeat(s)) ...", flush=True)
-        results.append(_time_case(name, build, repeats))
+        results.append(_time_case(name, build, repeats, backend))
         r = results[-1]
         print(f"  uncached {r['uncached_s']:.3f}s   "
               f"cached {r['cached_s']:.3f}s ({r['speedup']}x)   "
               f"warm {r['warm_s']:.3f}s ({r['warm_speedup']}x)")
         warm_p = r["percentiles"]["warm"]
-        print("  warm p50/p99 ms: " + "   ".join(
+        print(f"  warm p50/p99 ms (n={repeats}): " + "   ".join(
             f"{stage} {warm_p[stage]['p50'] * 1e3:.2f}/"
             f"{warm_p[stage]['p99'] * 1e3:.2f}"
-            for stage in ("check", "link", "compile", "eval")))
-        if backend == "pycode":
-            r["backends"] = _backend_compare(build, repeats)
-            b = r["backends"]
-            print(f"  eval: interp {b['interp_eval_s'] * 1e3:.2f}ms   "
-                  f"pycode {b['pycode_eval_s'] * 1e3:.2f}ms "
-                  f"({b['eval_speedup']}x)   "
-                  f"codegen {b['pycode_codegen_s'] * 1e3:.2f}ms cold / "
-                  f"{b['pycode_codegen_warm_s'] * 1e3:.2f}ms warm")
+            for stage in ("parse", "check", "link", "eval")))
 
     collector = _cache_counters(
-        cases[0][1] if quick else (lambda: chain_program(64)))
+        cases[0][1] if quick else (lambda: chain_program(64)), backend)
     counters = {kind: count
                 for kind, count in sorted(collector.counters.items())}
 
@@ -360,6 +296,7 @@ def _run_bench(quick: bool, out: str, snapshot: str | None,
         "schema": "bench1",
         "quick": quick,
         "repeats": repeats,
+        "backend": backend,
         "cases": results,
         "warm_counters": counters,
     }

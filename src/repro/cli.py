@@ -105,70 +105,47 @@ def _read(path: str) -> str:
     return Path(path).read_text()
 
 
+def _libraries(args: argparse.Namespace) -> list[tuple[str, str]]:
+    """The ``--load FILE`` libraries as ``(text, origin)`` pairs."""
+    return [(_read(lib), lib) for lib in getattr(args, "load", None) or []]
+
+
 def _load_script(args: argparse.Namespace):
-    """Parse the program file, prepending any ``--load`` libraries.
+    """Parse the program file, prepending any ``--load`` libraries
+    (:func:`repro.serve.handlers.with_libraries`)."""
+    from repro.serve.handlers import with_libraries
 
-    Each ``--load FILE`` contributes its top-level definitions
-    (typically named units) to the main script's scope — assembly-line
-    programming across files: parts in their own files, one file doing
-    the assembly.
-    """
-    from repro.lang.ast import Letrec
-    from repro.lang.errors import ParseError
-    from repro.lang.parser import parse_library
+    return with_libraries(parse_script(_read(args.file), origin=args.file),
+                          _libraries(args))
 
-    bindings: list = []
-    for lib in getattr(args, "load", None) or []:
-        bindings.extend(parse_library(_read(lib), origin=lib))
-    main_expr = parse_script(_read(args.file), origin=args.file)
-    if not bindings:
-        return main_expr
-    if isinstance(main_expr, Letrec):
-        combined = bindings + list(main_expr.bindings)
-        names = [name for name, _ in combined]
-        if len(set(names)) != len(names):
-            raise ParseError("--load: duplicate top-level definition")
-        return Letrec(tuple(combined), main_expr.body)
-    return Letrec(tuple(bindings), main_expr)
+
+def _pipeline(args: argparse.Namespace, op: str,
+              backend: str = "interp") -> tuple[str, str]:
+    """Run the program file through the shared pipeline
+    (:func:`repro.serve.handlers.run_pipeline`) — the same code path
+    ``repro serve`` and ``repro batch`` execute."""
+    from repro.serve.handlers import run_pipeline
+
+    request = {"op": op, "source": _read(args.file), "origin": args.file,
+               "backend": backend, "lenient": args.lenient,
+               "libraries": _libraries(args)}
+    return run_pipeline(request, {})
 
 
 def cmd_run(args: argparse.Namespace) -> int:
     """Evaluate an untyped unit program."""
-    expr = _load_script(args)
-    check_program(expr, strict_valuable=not args.lenient)
-    backend_name = getattr(args, "backend", "interp")
-    if backend_name == "pycode":
-        # The codegen backend runs the statically linked program (the
-        # codegen cache is keyed on the linked digest); linking
-        # preserves behaviour, so the printed result is unchanged.
-        from repro import backend as _backend
-        from repro.units.linker import link_and_optimize
-
-        linked, _stats = link_and_optimize(expr)
-        result, output = _backend.compile_program(linked).run()
-    elif backend_name == "machine":
-        from repro.lang.ast import Lit
-        from repro.lang.machine import machine_eval
-
-        final, output = machine_eval(expr)
-        result = final.value if isinstance(final, Lit) else final
-    else:
-        interp = Interpreter()
-        result = interp.eval(expr)
-        output = interp.port.getvalue()
+    value, output = _pipeline(args, "run", getattr(args, "backend", "interp"))
     if output:
         sys.stdout.write(output)
         if not output.endswith("\n"):
             sys.stdout.write("\n")
-    print("=>", to_write_string(result))
+    print("=>", value)
     return 0
 
 
 def cmd_check(args: argparse.Namespace) -> int:
     """Run the Figure 10 context-sensitive checks."""
-    expr = _load_script(args)
-    check_program(expr, strict_valuable=not args.lenient)
-    print("ok")
+    print(_pipeline(args, "check")[0])
     return 0
 
 
@@ -829,8 +806,8 @@ def build_parser() -> argparse.ArgumentParser:
                             "cache.* activity) usable by 'trace diff'")
     bench.add_argument("--backend", choices=("interp", "pycode"),
                        default="pycode",
-                       help="comparison backend for the per-case eval "
-                            "column (default: pycode)")
+                       help="evaluator of the benched run requests "
+                            "(default: pycode, as the server)")
     bench.add_argument("--serve", action="store_true",
                        help="load-test an in-process link server instead: "
                             "cold/warm request latency (p50/p99) and "

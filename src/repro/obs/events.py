@@ -71,12 +71,13 @@ KINDS: dict[str, str] = {
     "cache.evict": "a bounded cache dropped its least-recent entry",
     # Resource governance (repro.limits)
     "limit.exceeded": "a resource budget was exhausted and work aborted",
-    # Pipeline stages as spans (repro.batch drives one item through
-    # parse -> check -> archive round-trip -> eval; stage.item wraps
-    # the whole item so per-item latency is a span too)
+    # Pipeline stages as spans (repro.serve.handlers.run_pipeline:
+    # parse -> check -> link, or archive round-trip -> eval; batch
+    # wraps each item in stage.item so per-item latency is a span too)
     "stage.item": "one batch item ran end to end",
-    "stage.parse": "source text was read and parsed",
+    "stage.parse": "source text was parsed",
     "stage.check": "the parsed program was type-checked",
+    "stage.link": "the checked program was statically linked",
     "stage.archive": "the program round-tripped the dynlink archive",
     "stage.eval": "the checked program was evaluated",
     # Telemetry lifecycle (repro.obs.metrics)

@@ -14,9 +14,11 @@ host's ``cpus`` — so throughput numbers are attributable: a
 multi-process row can only beat the GIL ceiling when ``cpus`` gives
 it cores to scale onto.
 
-Latency percentiles are computed exactly (sorted samples), not from
-histogram buckets — the sample counts are small enough that bucket
-quantization would dominate the p99.
+Latency rows (seconds) come from :func:`repro.bench.percentiles`, the
+telemetry :class:`~repro.obs.metrics.Histogram` path the pipeline bench
+uses, so the two estimate quantiles identically; each row carries its
+sample ``count`` beside the p50/p90/p99, because a "p99" of three cold
+samples is their maximum, not a tail.
 """
 
 from __future__ import annotations
@@ -29,20 +31,6 @@ from pathlib import Path
 
 from repro.serve.client import ServeClient
 from repro.serve.server import ServeConfig, ServerThread
-
-
-def _percentile(samples: list[float], q: float) -> float:
-    xs = sorted(samples)
-    index = min(len(xs) - 1, max(0, round(q * (len(xs) - 1))))
-    return xs[index]
-
-
-def _summary(samples: list[float]) -> dict[str, float]:
-    return {
-        "count": len(samples),
-        "p50_ms": round(_percentile(samples, 0.50) * 1e3, 3),
-        "p99_ms": round(_percentile(samples, 0.99) * 1e3, 3),
-    }
 
 
 def _timed_request(client: ServeClient,
@@ -73,7 +61,7 @@ def run_serve_bench(quick: bool = False,
     its row merges under ``"serve-processes"`` so the two modes sit
     side by side.
     """
-    from repro.bench import chain_program, sharing_program
+    from repro.bench import chain_program, percentiles, sharing_program
     from repro.lang.pretty import show
     from repro.limits import python_recursion_headroom
 
@@ -106,13 +94,10 @@ def run_serve_bench(quick: bool = False,
                         cold.append(_timed_request(client, fields))
                     warm = [_timed_request(client, fields)
                             for _ in range(warm_repeats)]
-                case = {
-                    "cold": _summary(cold),
-                    "warm": _summary(warm),
-                    "p50_speedup": round(
-                        _percentile(cold, 0.50)
-                        / max(_percentile(warm, 0.50), 1e-9), 1),
-                }
+                case = {"cold": percentiles(cold),
+                        "warm": percentiles(warm)}
+                case["p50_speedup"] = round(
+                    case["cold"]["p50"] / max(case["warm"]["p50"], 1e-9), 1)
                 results[name] = case
 
             # Throughput: concurrent clients over the warm store,
@@ -141,7 +126,7 @@ def run_serve_bench(quick: bool = False,
             wall = time.perf_counter() - t_wall
             total = clients * per_client
             mode = "processes" if processes else "threads"
-            throughput = dict(_summary(latencies))
+            throughput = percentiles(latencies)
             throughput.update({
                 "clients": clients,
                 "requests": total,
@@ -152,7 +137,7 @@ def run_serve_bench(quick: bool = False,
             })
 
     payload = {
-        "schema": "serve-bench1",
+        "schema": "serve-bench2",
         "quick": quick,
         "mode": mode,
         "workers": config.pool_size,
@@ -173,14 +158,17 @@ def run_serve_bench(quick: bool = False,
     merged["serve-processes" if processes else "serve"] = payload
     out.write_text(json.dumps(merged, indent=2, sort_keys=True) + "\n",
                    encoding="utf-8")
+
+    def ms(row: dict[str, float], q: str) -> str:
+        return f"{q} {row[q] * 1e3:.3f}ms (n={row['count']})"
+
     for name, case in results.items():
-        print(f"{name}: cold p50 {case['cold']['p50_ms']}ms -> warm "
-              f"p50 {case['warm']['p50_ms']}ms "
-              f"({case['p50_speedup']}x); "
-              f"p99 warm {case['warm']['p99_ms']}ms")
+        print(f"{name}: cold {ms(case['cold'], 'p50')} -> warm "
+              f"{ms(case['warm'], 'p50')} ({case['p50_speedup']}x); "
+              f"warm {ms(case['warm'], 'p99')}")
     print(f"throughput: {throughput['rps']} req/s over "
           f"{throughput['clients']} clients "
           f"[{mode}, {config.pool_size} workers, "
           f"{os.cpu_count()} cpu(s)] "
-          f"(p50 {throughput['p50_ms']}ms, p99 {throughput['p99_ms']}ms)")
+          f"({ms(throughput, 'p50')}, {ms(throughput, 'p99')})")
     return payload

@@ -9,7 +9,7 @@ a response echoes the request's ``id`` and carries a ``status``:
   budget consumption;
 * ``error`` — the request failed in a *typed* way; ``error`` is the
   same structured payload ``repro batch`` records
-  (:func:`repro.batch.error_payload`) plus a ``code`` mirroring the
+  (:func:`repro.serve.handlers.error_payload`) plus a ``code`` mirroring the
   CLI exit taxonomy (3 for budget exhaustion, 1 for everything else),
   so a scripted client can branch exactly as it would on exit codes;
 * ``overloaded`` — admission control shed the request *before*
@@ -38,9 +38,9 @@ from __future__ import annotations
 
 from typing import Mapping
 
-from repro.batch import error_payload
 from repro.limits import BudgetExceeded
 from repro.serve.chaos import FAULTS
+from repro.serve.handlers import error_payload
 
 SCHEMA = "serve1"
 

@@ -395,9 +395,22 @@ class ServerThread:
         await server._shutdown.wait()
         await server.drain()
 
+    def request_shutdown(self) -> None:
+        """Ask the loop to begin draining, from any thread.
+
+        A no-op once the loop has closed — a server that already
+        drained itself has nothing left to shut down.
+        """
+        loop = self._loop
+        if loop is None or self.server is None or loop.is_closed():
+            return
+        try:
+            loop.call_soon_threadsafe(self.server.request_shutdown)
+        except RuntimeError:
+            pass  # the loop closed between the check and the call
+
     def stop(self) -> None:
-        if self._loop is not None and self.server is not None:
-            self._loop.call_soon_threadsafe(self.server.request_shutdown)
+        self.request_shutdown()
         if self._thread is not None:
             self._thread.join(timeout=60)
             if self._thread.is_alive():

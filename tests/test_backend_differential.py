@@ -63,9 +63,8 @@ def _pass(case):
     out["pycode_output"] = output
 
     if not case.skip_compile:
-        # The CLI's pycode path runs the statically linked program (the
-        # codegen cache is keyed on the linked digest); hold it to the
-        # same observation.
+        # Static linking must preserve behaviour: the linked program,
+        # run on the codegen backend, is held to the same observation.
         linked, _stats = link_and_optimize(expr)
         lvalue, loutput = backend.compile_program(linked).run()
         out["pycode_linked_value"] = to_write_string(lvalue)

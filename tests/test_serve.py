@@ -256,7 +256,7 @@ class TestServerEndToEnd:
         with ServerThread(ServeConfig(workers=1)) as st:
             with ServeClient(st.host, st.port) as client:
                 assert client.request("ping")["status"] == "ok"
-                st.server.request_shutdown()
+                st.request_shutdown()
                 # The loop hasn't torn the connection down yet; a
                 # request racing the drain gets the typed rejection
                 # (or, once the listener is gone, a closed socket).
