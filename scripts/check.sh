@@ -6,12 +6,11 @@
 # Exits non-zero if the tests fail, if the end-to-end server suite
 # fails on any of 20 reruns, if the traced phone-book demo
 # fails, if the resulting trace does not cover all event families or
-# lacks a real span tree, if the demo's per-kind event counts drift
-# past the committed baseline (benchmarks/.metrics/baseline.json —
-# regenerate with scripts/update_metrics_baseline.sh after intentional
-# changes), if its histogram observation counts drift past the
-# committed metrics1 snapshot (benchmarks/.metrics/metrics_baseline.json,
-# same refresh script), if concurrent traced scopes cross-contaminate
+# lacks a real span tree, if the demo's event counters or histogram
+# observation counts drift past the committed metrics1 snapshot
+# (benchmarks/.metrics/metrics_baseline.json — regenerate with
+# scripts/update_metrics_baseline.sh after intentional changes), if
+# concurrent traced scopes cross-contaminate
 # span trees or drop events, if the demo records no cache hits, if the
 # quick bench
 # smoke finds the caches inert, if a warm sharing-064 pass fails to
@@ -76,11 +75,7 @@ EOF
 echo "==> smoke: trace report (span tree over the demo trace)"
 python -m repro trace report "$trace_file" --min-spans 5
 
-echo "==> gate: event counts vs committed baseline"
-python -m repro trace diff benchmarks/.metrics/baseline.json \
-    "$trace_file" --threshold 0.10
-
-echo "==> gate: histogram counts vs committed metrics baseline"
+echo "==> gate: event and histogram counts vs committed metrics baseline"
 python -m repro metrics diff benchmarks/.metrics/metrics_baseline.json \
     "$metrics_file" --threshold 0.10
 

@@ -1,23 +1,21 @@
 #!/bin/sh
-# Refresh the committed demo baselines under benchmarks/.metrics/:
+# Refresh the committed demo baseline under benchmarks/.metrics/:
 #
-#   baseline.json          per-kind event counts, gated by
-#                          `repro trace diff` in scripts/check.sh
-#   metrics_baseline.json  full `metrics1` snapshot, gated (counts
-#                          only) by `repro metrics diff`
+#   metrics_baseline.json  full `metrics1` snapshot of
+#                          `repro demo examples/phonebook.scm`, gated
+#                          (counts only) by `repro metrics diff` in
+#                          scripts/check.sh
 #
 #   scripts/update_metrics_baseline.sh    # from anywhere in the repo
 #
 # Run this after a change that legitimately alters how many events the
 # phone-book demo emits (new spans, new checks, a different reduction
-# count) and commit the regenerated files alongside that change.
+# count) and commit the regenerated file alongside that change.
 #
-# baseline.json keeps only counters: timers vary run to run, so a
-# baseline holding them would never diff cleanly.  `repro trace diff`
-# recognizes this counters-only shape.  metrics_baseline.json keeps the
-# whole snapshot (histogram buckets included) so `repro metrics report`
-# can render it, but the check.sh gate compares observation counts
-# only — never wall-clock.
+# The snapshot keeps everything (histogram buckets included) so
+# `repro metrics report` can render it, but the check.sh gate compares
+# event-counter and histogram observation counts only — never
+# wall-clock.
 set -eu
 
 cd "$(dirname "$0")/.."
@@ -35,17 +33,6 @@ import json
 import sys
 
 metrics = json.load(open(sys.argv[1]))
-baseline = {
-    "note": ("per-kind event counts of `repro demo examples/phonebook.scm`;"
-             " regenerate with scripts/update_metrics_baseline.sh"),
-    "counters": dict(sorted(metrics["counters"].items())),
-}
-path = "benchmarks/.metrics/baseline.json"
-with open(path, "w") as out:
-    json.dump(baseline, out, indent=2)
-    out.write("\n")
-print(f"wrote {path}: {len(baseline['counters'])} counters")
-
 snap_path = "benchmarks/.metrics/metrics_baseline.json"
 with open(snap_path, "w") as out:
     json.dump(metrics, out, indent=2, sort_keys=True)

@@ -60,14 +60,14 @@ Caching (any subcommand)::
 
 Every invocation runs with the term-performance layer on (memoized
 free variables and substitution, hash-consing) and a fresh
-content-addressed unit cache (check/compile/link/parse reuse for
-structurally identical units — linking is incremental: resolved link
-subgraphs are keyed on their constituents' digests; ``cache.*`` trace
+content-addressed unit cache (check/parse/optimizer/codegen reuse for
+structurally identical units — linking is incremental: flattened
+compound subtrees are memoized on their digests; ``cache.*`` trace
 events report hits).  ``--no-term-cache`` disables all of it — the
 escape hatch and the differential-testing baseline.  ``--cache-dir
 DIR`` (or the ``REPRO_CACHE_DIR`` environment variable) adds an
-on-disk tier so compiled units and merged link results persist across
-invocations.  ``bench`` measures the
+on-disk tier so generated pycode modules persist across invocations.
+``bench`` measures the
 difference and writes ``BENCH_results.json`` (docs/PERFORMANCE.md).
 
 Resource governance (docs/ROBUSTNESS.md)::
@@ -643,8 +643,9 @@ def build_parser() -> argparse.ArgumentParser:
                         help="disable term memoization, hash-consing, and "
                              "the content-addressed unit caches")
     parser.add_argument("--cache-dir", metavar="DIR", default=None,
-                        help="persist compiled units under DIR across "
-                             "invocations (default: $REPRO_CACHE_DIR)")
+                        help="persist generated pycode modules under DIR "
+                             "across invocations (default: "
+                             "$REPRO_CACHE_DIR)")
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add(name, fn, help_text, with_file=True):

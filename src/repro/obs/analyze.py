@@ -18,7 +18,9 @@ the causal structure the span layer stamped onto it —
 * :func:`fold_stacks` flattens the forest into collapsed-stack lines
   consumable by standard flamegraph tools,
 * :func:`kind_counts` / :func:`diff_counts` / :func:`load_counts`
-  power the ``repro trace diff`` metrics-regression gate.
+  power ``repro trace diff``; :func:`diff_counts` /
+  :func:`regressions` / :func:`registered_counts` also back the
+  ``repro metrics diff`` count gate.
 
 Rendering lives in :mod:`repro.obs.report`; the CLI entry points are
 the ``repro trace report|diff|flame`` subcommands.
@@ -364,7 +366,6 @@ def load_counts(path: str | Path) -> dict[str, int]:
     as a JSON-Lines trace.  Only dotted ``family.action`` counters in
     a registered family count (bookkeeping counters are skipped).
     """
-    from repro.obs.events import FAMILIES
     from repro.obs.jsonl import read_jsonl
 
     text = Path(path).read_text(encoding="utf-8")
@@ -380,6 +381,14 @@ def load_counts(path: str | Path) -> dict[str, int]:
         counters = payload["counters"]
         if not isinstance(counters, dict):
             raise ValueError(f"{path}: 'counters' is not an object")
-        return {kind: int(value) for kind, value in counters.items()
-                if "." in kind and family_of(kind) in FAMILIES}
+        return registered_counts(counters)
     return kind_counts(read_jsonl(path))
+
+
+def registered_counts(counters: dict[str, object]) -> dict[str, int]:
+    """The dotted ``family.action`` counters of a registered family;
+    bookkeeping counters such as ``trace.dropped`` are skipped."""
+    from repro.obs.events import FAMILIES
+
+    return {kind: int(value) for kind, value in counters.items()
+            if "." in kind and family_of(kind) in FAMILIES}

@@ -685,6 +685,17 @@ def render_metrics_report(snapshot: dict[str, object]) -> str:
     return "\n".join(out)
 
 
+def _count_table(label: str, deltas, failing: set[str],
+                 threshold: float, width: int) -> list[str]:
+    out = [f"  {label.ljust(width)}  {'base':>8}  {'cur':>8}  "
+           f"{'delta':>8}  status"]
+    for d in deltas:
+        flag = " <-- FAIL" if d.kind in failing else ""
+        out.append(f"  {d.kind.ljust(width)}  {d.base:>8}  {d.cur:>8}  "
+                   f"{d.delta:>+8}  {d.status(threshold)}{flag}")
+    return out
+
+
 def render_metrics_diff(base: dict[str, object], cur: dict[str, object],
                         count_threshold: float = 0.10,
                         latency_threshold: float | None = None,
@@ -694,11 +705,12 @@ def render_metrics_diff(base: dict[str, object], cur: dict[str, object],
 
     Two gates, independently armed:
 
-    * **counts** — per-histogram observation counts (deterministic for
-      a fixed workload: one observation per span).  A count growing
-      past ``base * (1 + count_threshold)`` fails; under ``strict``,
-      histograms appearing or vanishing fail too.  This is the CI
-      gate.
+    * **counts** — the registered ``family.action`` event counters and
+      the per-histogram observation counts (both deterministic for a
+      fixed workload; a counter with no histogram, like
+      ``reduce.step``, is gated only here).  A count growing past
+      ``base * (1 + count_threshold)`` fails; under ``strict``, kinds
+      appearing or vanishing fail too.  This is the CI gate.
     * **latency** — p50/p99 regressions, armed only when
       ``latency_threshold`` is given (wall-clock percentiles are
       machine- and load-dependent, so CI should not gate on them by
@@ -707,30 +719,37 @@ def render_metrics_diff(base: dict[str, object], cur: dict[str, object],
       ``latency_floor`` seconds — microsecond jitter on a fast stage
       is never a regression.
     """
-    from repro.obs.analyze import diff_counts, regressions
+    from repro.obs.analyze import diff_counts, registered_counts, regressions
 
     base_h = {name: Histogram.from_json(payload) for name, payload
               in (base.get("histograms") or {}).items()}  # type: ignore[union-attr]
     cur_h = {name: Histogram.from_json(payload) for name, payload
              in (cur.get("histograms") or {}).items()}  # type: ignore[union-attr]
+    counter_deltas = diff_counts(
+        registered_counts(base.get("counters") or {}),  # type: ignore[arg-type]
+        registered_counts(cur.get("counters") or {}))  # type: ignore[arg-type]
     deltas = diff_counts({k: h.count for k, h in base_h.items()},
                          {k: h.count for k, h in cur_h.items()})
+    failing_counters = {d.kind for d in regressions(
+        counter_deltas, count_threshold, strict)}
     failing = {d.kind for d in regressions(deltas, count_threshold, strict)}
     out: list[str] = []
     out.append(f"metrics diff — count threshold {count_threshold:.0%}"
                + (f", latency threshold {latency_threshold:.0%}"
                   if latency_threshold is not None else "")
                + (", strict" if strict else ""))
-    if not deltas:
-        out.append("  (no histograms on either side)")
+    if not deltas and not counter_deltas:
+        out.append("  (no counters or histograms on either side)")
         return "\n".join(out), False
-    width = max(len(d.kind) for d in deltas)
-    out.append(f"  {'histogram'.ljust(width)}  {'base':>8}  {'cur':>8}  "
-               f"{'delta':>8}  status")
-    for d in deltas:
-        flag = " <-- FAIL" if d.kind in failing else ""
-        out.append(f"  {d.kind.ljust(width)}  {d.base:>8}  {d.cur:>8}  "
-                   f"{d.delta:>+8}  {d.status(count_threshold)}{flag}")
+    width = max(len(d.kind) for d in deltas + counter_deltas)
+    if counter_deltas:
+        out += _count_table("counter", counter_deltas, failing_counters,
+                            count_threshold, width)
+    if deltas:
+        if counter_deltas:
+            out.append("")
+        out += _count_table("histogram", deltas, failing,
+                            count_threshold, width)
     latency_failing: list[str] = []
     shared = sorted(set(base_h) & set(cur_h))
     if shared:
@@ -758,13 +777,13 @@ def render_metrics_diff(base: dict[str, object], cur: dict[str, object],
                 f"{_fmt_ms(c.percentile(0.5)):>10}  "
                 f"{_fmt_ms(b.percentile(0.99)):>10}  "
                 f"{_fmt_ms(c.percentile(0.99)):>10}  {status}{flag}")
-    failed = bool(failing) or bool(latency_failing)
-    if failed:
-        out.append(f"  {len(failing) + len(set(latency_failing))} "
-                   f"histogram(s) breach the gate")
+    breaches = len(failing_counters) + len(failing) \
+        + len(set(latency_failing))
+    if breaches:
+        out.append(f"  {breaches} row(s) breach the gate")
     else:
         out.append("  within threshold")
-    return "\n".join(out), failed
+    return "\n".join(out), bool(breaches)
 
 
 def _prom_escape(value: str) -> str:

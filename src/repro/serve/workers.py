@@ -14,10 +14,10 @@ Design decisions, in order of importance:
   pipeline fresh — no inherited locks, no forked event loop, no
   accidentally shared contextvars.  The worker entry point
   (:func:`_worker_main`) builds its *own* per-process
-  :class:`~repro.units.cache.CacheStore` (via
-  :meth:`~repro.units.cache.CacheStore.for_worker`) and its own
+  :class:`~repro.units.cache.CacheStore` (unlocked: a worker runs one
+  request at a time) and its own
   :class:`~repro.obs.metrics.MetricsRegistry`; the only state workers
-  share is the disk cache tier, whose content-addressed keys and
+  share is the pycode disk cache tier, whose content-addressed keys and
   atomic tmp+``os.replace`` writes are already process-safe.
 * **One pipe per worker, one request in flight per worker.**  The
   parent always knows exactly which request a dead worker was holding,
@@ -89,8 +89,8 @@ def _worker_main(conn, config: "ServeConfig") -> None:
     """The worker process body: bootstrap once, serve jobs forever.
 
     Runs in a *spawned* child — everything here is this process's own:
-    the cache store (disk tier shared with siblings by content
-    address only), the metrics registry, the chaos arming state.
+    the cache store (pycode disk tier shared with siblings by
+    content address only), the metrics registry, the chaos arming state.
     """
     import signal
 
@@ -104,7 +104,7 @@ def _worker_main(conn, config: "ServeConfig") -> None:
     from repro.units.cache import CacheStore
 
     _chaos.mark_worker_process()
-    store = CacheStore.for_worker(config.cache_dir, ttl_s=config.ttl_s)
+    store = CacheStore(config.cache_dir, ttl_s=config.ttl_s)
     registry = MetricsRegistry()
     conn.send(("ready", os.getpid()))
     while True:

@@ -1,36 +1,24 @@
-"""Content-addressed caches for compiled, checked, and linked units.
+"""Content-addressed caches for checked, linked, and compiled units.
 
-Units are syntax, and structurally identical syntax compiles, checks,
-and links identically — so the Figure 12 compiler, the Figure 10
-checker, the Figure 11 compound merge, and the dynamic-linking archive
-can reuse results keyed by the stable
-:func:`repro.lang.terms.term_key` digest.  Six stores live in a
-:class:`CacheStore`:
+Units are syntax, and structurally identical syntax checks, optimizes,
+and compiles identically — so the Figure 10 checker, the Section 4.2.4
+optimizer, the pycode backend, and the dynamic-linking archive can
+reuse results keyed by the stable :func:`repro.lang.terms.term_key`
+digest.  Five stores live in a :class:`CacheStore`:
 
-* the **compile cache** — ``term_key(unit-form) -> compiled core
-  expression`` (compiled code is closed over its generated names, so a
-  cached body is reusable in any context, exactly the code sharing the
-  paper's footnote 8 describes);
 * the **check cache** — ``(term_key, strict?) -> passed`` for
   successful :func:`repro.units.check.check_unit` runs (failures are
   never cached: the error message and trace event must re-fire);
-* the **link cache** — resolved link subgraphs.  The paper's compound
-  link graphs are DAG-shaped (Section 3.2–3.3), so a compound whose
-  constituent digests are unchanged re-links to a structurally
-  identical merged unit; :func:`cached_link` keys the merge of
-  :func:`repro.units.reduce.merge_compound` on the ``tk1`` digests of
-  the two constituent units plus the link-graph shape (the compound's
-  imports/exports and each clause's with/provides lists — flat
-  signature names, never qualified paths), and :func:`cached_optimize`
-  keys the Section 4.2.4 optimizer's output on the merged unit's own
-  digest.  Both the static linker and the rewriting machine consult
-  the same store, so a subgraph resolved once is shared instead of
-  re-walked;
+* the **link cache** — :func:`cached_optimize` keys the Section 4.2.4
+  optimizer's output on the merged unit's digest and round count;
 * the **parse cache** — ``sha256(source) -> unit syntax`` for archive
-  retrievals, so repeatedly loading the same serialized unit parses
-  once;
+  retrievals and served programs, so repeatedly loading the same text
+  parses once;
 * the **codegen (pycode) cache** and the **flatten memo** — see their
-  sections below.
+  sections below.  The flatten memo is what makes a warm re-link
+  cheap: it stores whole flattened compound subtrees, so individual
+  Figure 11 merges are never cached on their own (a merge is cheaper
+  to redo than to key and store).
 
 Scoping: the caches are **inactive by default** and enabled per scope.
 :func:`unit_cache_scope` creates a *fresh* :class:`CacheStore` for the
@@ -47,7 +35,7 @@ another caller's cache state.  ``--no-term-cache`` (the
 :mod:`repro.lang.terms` switch) also disables them.
 
 Concurrency: a ``thread_safe`` store guards each in-memory LRU with a
-lock and the disk tiers with striped per-digest locks.  No lock is
+lock and the disk tier with striped per-digest locks.  No lock is
 ever held across a ``compute()`` callback, so two racing misses on the
 same key may both compute (a benign stampede — the values are
 structurally identical and last-put wins); what the locks rule out is
@@ -59,18 +47,16 @@ Eviction and invalidation: every store is size-bounded (LRU); a
 ``ttl_s`` additionally expires entries by age at lookup time (expiry
 emits ``cache.evict`` with ``reason: "ttl"``).
 :meth:`CacheStore.invalidate` removes every entry derived from a given
-``tk1`` digest — memory entries whose key embeds the digest, link-tier
-merges recorded as depending on it, and the digest's disk files — so a
-serving process can drop one unit's results without flushing the
-world.
+``tk1`` digest — memory entries whose key embeds the digest and the
+digest's pycode disk file — so a serving process can drop one unit's
+results without flushing the world.
 
 Every lookup emits exactly one ``cache.hit`` or ``cache.miss`` event
 (guarded, so nothing is built when observability is off) carrying the
 cache's name; LRU evictions emit ``cache.evict``.  The on-disk tier
-(for compiled units and merged link results, enabled by
-``--cache-dir`` or the ``REPRO_CACHE_DIR`` environment variable)
-stores pretty-printed terms under a directory versioned by the digest
-schema (``v1-tk1/compile/`` and ``v1-tk1/link/``), so a schema change
+(enabled by ``--cache-dir`` or the ``REPRO_CACHE_DIR`` environment
+variable) holds only generated pycode modules, under a directory
+versioned by the digest schema (``v1-tk1/pycode/``), so a schema change
 strands old entries instead of misreading them.
 """
 
@@ -93,8 +79,8 @@ from repro.serve import chaos as _chaos
 _MISS = object()
 
 #: Default LRU capacities per store (scaled by ``CacheStore(scale=)``).
-_SIZES = {"compile": 1024, "check": 4096, "link": 1024,
-          "dynlink": 256, "pycode": 256, "flatten": 512}
+_SIZES = {"check": 4096, "link": 1024, "dynlink": 256, "pycode": 256,
+          "flatten": 512}
 
 #: How many stripes the per-digest disk locks are spread over.
 _DIGEST_STRIPES = 64
@@ -227,15 +213,15 @@ def _key_contains(key: object, digest: str) -> bool:
 
 
 class CacheStore:
-    """One complete set of content-addressed stores plus disk tiers.
+    """One complete set of content-addressed stores plus the disk tier.
 
     The unit of cache *scoping*: :func:`unit_cache_scope` creates a
     private one per invocation; ``repro serve`` creates one
     ``thread_safe`` instance at startup and shares it across every
     request via :func:`cache_store_scope`.  In multi-process serve
-    mode each worker process instead bootstraps its own store with
-    :meth:`for_worker`, and sibling workers share warm state *only*
-    through the disk tiers: writes are atomic (per-process temp file +
+    mode each worker process instead builds its own unlocked store,
+    and sibling workers share warm state *only* through the pycode
+    disk tier: writes are atomic (per-process temp file +
     ``os.replace``) and keys are content-addressed ``tk1`` digests, so
     concurrent writers of the same key race to install identical
     bytes — last-replace-wins is correct by construction, with no
@@ -262,39 +248,16 @@ class CacheStore:
                 lock=threading.Lock() if thread_safe else None,
                 ttl_s=ttl_s, clock=clock)
 
-        self.compile = make("compile")
         self.check = make("check")
         self.link = make("link")
         self.parse = make("dynlink")
         self.pycode = make("pycode")
         self.flatten = make("flatten")
-        self.caches = (self.compile, self.check, self.link, self.parse,
-                       self.pycode, self.flatten)
+        self.caches = (self.check, self.link, self.parse, self.pycode,
+                       self.flatten)
         self._stripes = (tuple(threading.Lock()
                                for _ in range(_DIGEST_STRIPES))
                          if thread_safe else None)
-        #: link-merge key -> the two constituent ``tk1`` digests, so
-        #: :meth:`invalidate` can find merges whose opaque key does not
-        #: itself embed the digest.
-        self._link_deps: dict[object, tuple[str, str]] = {}
-        self._deps_lock = threading.Lock() if thread_safe else None
-
-    @classmethod
-    def for_worker(cls, disk_dir: str | Path | None = None, *,
-                   ttl_s: float | None = None,
-                   scale: float = 1.0) -> "CacheStore":
-        """Bootstrap the per-process store of one serve worker.
-
-        Workers execute one request at a time, so the store is built
-        *without* per-LRU locks (``thread_safe=False`` — uncontended
-        locks would only add overhead).  Pointing every sibling at the
-        same ``disk_dir`` is what makes warm state cross-process: a
-        compile/link/pycode artifact one worker writes is a disk hit
-        for the next, under the atomic-write discipline described in
-        the class docstring.
-        """
-        return cls(disk_dir, thread_safe=False, ttl_s=ttl_s,
-                   scale=scale)
 
     # -- maintenance ----------------------------------------------------
 
@@ -302,11 +265,6 @@ class CacheStore:
         """Empty every in-memory store (the disk tier is untouched)."""
         for cache in self.caches:
             cache.clear()
-        if self._deps_lock is None:
-            self._link_deps.clear()
-        else:
-            with self._deps_lock:
-                self._link_deps.clear()
 
     def occupancy(self) -> dict[str, int]:
         """Entries resident per store, for stats endpoints."""
@@ -315,114 +273,39 @@ class CacheStore:
     def invalidate(self, digest: str) -> int:
         """Drop every entry derived from one ``tk1`` digest.
 
-        Covers memory entries whose key embeds the digest (compile,
-        check, pycode, flatten, and the link tier's ``("opt", ...)``
-        optimizer entries), link-tier merges recorded as *depending*
-        on the digest, and the digest's own disk files.  Returns how
-        many entries were removed.
+        Covers memory entries whose key embeds the digest (check,
+        pycode, flatten, and the link tier's ``("opt", ...)`` optimizer
+        entries) and the digest's pycode disk file.  Returns how many
+        entries were removed.
         """
         removed = 0
         for cache in self.caches:
             for key in cache.matching(digest):
                 removed += cache.delete(key)
-        deps_lock = self._deps_lock or nullcontext()
-        with deps_lock:
-            stale = [key for key, (k1, k2) in self._link_deps.items()
-                     if digest in (k1, k2)]
-            for key in stale:
-                self._link_deps.pop(key, None)
-        for key in stale:
-            removed += self.link.delete(key)
-        if self.disk_dir is not None:
-            for kind, suffix in (("compile", ".scm"), ("link", ".scm"),
-                                 ("pycode", ".py")):
-                path = self._disk_path(kind, digest, suffix)
-                with self._digest_lock(kind, digest):
-                    try:
-                        path.unlink()
-                        removed += 1
-                    except OSError:
-                        pass
-        return removed
-
-    def record_link_deps(self, key: object, first: Expr,
-                         second: Expr) -> None:
-        """Remember a merge's constituent digests for invalidation.
-
-        ``term_key`` is memoized on hash-consed nodes, so re-digesting
-        here is a field read, not a re-hash.
-        """
-        k1 = _terms.try_term_key(first)
-        k2 = _terms.try_term_key(second)
-        if k1 is None or k2 is None:
-            return
-        deps_lock = self._deps_lock or nullcontext()
-        with deps_lock:
-            self._link_deps[key] = (k1, k2)
-            if len(self._link_deps) > 2 * self.link.maxsize:
-                # Prune deps whose merge the LRU already evicted.
-                live = self._link_deps
-                self._link_deps = {k: v for k, v in live.items()
-                                   if k in self.link._table}
-
-    # -- the disk tiers -------------------------------------------------
-
-    def _digest_lock(self, kind: str, key: object):
-        if self._stripes is None:
-            return nullcontext()
-        return self._stripes[hash((kind, key)) % _DIGEST_STRIPES]
-
-    def _disk_path(self, kind: str, key: str,
-                   suffix: str = ".scm") -> Path | None:
-        if self.disk_dir is None:
-            return None
-        return self.disk_dir / f"v1-{_terms.SCHEMA}" / kind \
-            / f"{key}{suffix}"
-
-    def disk_read_expr(self, kind: str, key: str) -> Expr | None:
-        """Read + reparse a disk entry; corrupt entries are unlinked
-        (under the digest lock) and reported as a miss."""
-        path = self._disk_path(kind, key)
-        if path is None:
-            return None
-        from repro.lang.parser import parse_program
-
-        with self._digest_lock(kind, key):
-            try:
-                if _chaos._armed:
-                    _chaos.cache_io(f"{kind}.read")
-                text = path.read_text(encoding="utf-8")
-            except OSError:
-                return None
-            try:
-                return parse_program(text, origin=str(path))
-            except Exception:
-                # A corrupt or stale entry is a miss, not an error;
-                # drop it so the recomputed result can take its slot.
+        path = self._disk_path(digest)
+        if path is not None:
+            with self._digest_lock(digest):
                 try:
                     path.unlink()
+                    removed += 1
                 except OSError:
                     pass
-                return None
+        return removed
 
-    def disk_read_unit(self, key: str) -> Expr | None:
-        """Read a link-tier entry; anything but a single unit is
-        corrupt."""
-        from repro.units.ast import UnitExpr
+    # -- the pycode disk tier -------------------------------------------
 
-        loaded = self.disk_read_expr("link", key)
-        if loaded is None or isinstance(loaded, UnitExpr):
-            return loaded
-        path = self._disk_path("link", key)
-        with self._digest_lock("link", key):
-            try:
-                path.unlink()
-            except OSError:
-                pass
-        return None
+    def _digest_lock(self, key: str):
+        if self._stripes is None:
+            return nullcontext()
+        return self._stripes[hash(key) % _DIGEST_STRIPES]
 
-    def disk_write_text(self, kind: str, key: str, text: str,
-                        suffix: str = ".scm") -> None:
+    def _disk_path(self, key: str) -> Path | None:
+        if self.disk_dir is None:
+            return None
+        return self.disk_dir / f"v1-{_terms.SCHEMA}" / "pycode" \
+            / f"{key}.py"
+
+    def disk_write_pycode(self, key: str, source: str) -> None:
         """Atomically publish one disk entry (temp file + replace).
 
         Concurrent writers of the same digest write identical content
@@ -430,19 +313,19 @@ class CacheStore:
         correct; a reader racing the replace sees either the old
         complete entry or the new complete entry, never a torn one.
         """
-        path = self._disk_path(kind, key, suffix)
+        path = self._disk_path(key)
         if path is None:
             return
         tmp: Path | None = None
-        with self._digest_lock(kind, key):
+        with self._digest_lock(key):
             try:
                 if _chaos._armed:
-                    _chaos.cache_io(f"{kind}.write")
+                    _chaos.cache_io("pycode.write")
                 path.parent.mkdir(parents=True, exist_ok=True)
                 tmp = path.with_name(
                     f"{path.name}.{os.getpid()}."
                     f"{threading.get_ident()}.tmp")
-                tmp.write_text(text, encoding="utf-8")
+                tmp.write_text(source, encoding="utf-8")
                 os.replace(tmp, path)
             except OSError:
                 # A read-only or failing cache dir degrades to
@@ -461,10 +344,10 @@ class CacheStore:
         fine) — is corrupt: unlink it (under the digest lock) and
         report a miss.
         """
-        path = self._disk_path("pycode", key, suffix=".py")
+        path = self._disk_path(key)
         if path is None:
             return None
-        with self._digest_lock("pycode", key):
+        with self._digest_lock(key):
             try:
                 if _chaos._armed:
                     _chaos.cache_io("pycode.read")
@@ -557,56 +440,13 @@ def unit_cache_scope(disk_dir: str | Path | None = None
         yield store
 
 
-class _ScopedCacheView:
-    """Back-compat module-global view of one named cache.
-
-    ``cache.LINK_CACHE`` and friends predate :class:`CacheStore`;
-    existing callers (tests, diagnostics) only size and clear them, so
-    the view resolves against the *currently scoped* store on every
-    use and reads as empty when no scope is open.
-    """
-
-    def __init__(self, attr: str):
-        self._attr = attr
-
-    def _cache(self) -> TermCache | None:
-        store = current_store()
-        return getattr(store, self._attr) if store is not None else None
-
-    def __len__(self) -> int:
-        cache = self._cache()
-        return len(cache) if cache is not None else 0
-
-    def clear(self) -> None:
-        cache = self._cache()
-        if cache is not None:
-            cache.clear()
-
-    def get(self, key: object) -> object:
-        cache = self._cache()
-        return cache.get(key) if cache is not None else _MISS
-
-    def put(self, key: object, value: object) -> None:
-        cache = self._cache()
-        if cache is not None:
-            cache.put(key, value)
-
-
-COMPILE_CACHE = _ScopedCacheView("compile")
-CHECK_CACHE = _ScopedCacheView("check")
-LINK_CACHE = _ScopedCacheView("link")
-PARSE_CACHE = _ScopedCacheView("parse")
-PYCODE_CACHE = _ScopedCacheView("pycode")
-FLATTEN_CACHE = _ScopedCacheView("flatten")
-
-
 def _emit_hit(name: str, tier: str, t_start: float | None = None) -> None:
     col = _obs_current()
     if col is not None:
         col.emit("cache.hit", {"cache": name, "tier": tier})
         if t_start is not None:
             # Hit service time: digesting the term plus the lookup
-            # (and, for a disk hit, reading and reparsing the entry).
+            # (and, for a disk hit, reading and compiling the entry).
             col.observe(f"cache.hit.{name}",
                         time.perf_counter() - t_start)
 
@@ -624,136 +464,13 @@ def _emit_miss(name: str, t_start: float | None = None) -> None:
 
 
 # ---------------------------------------------------------------------------
-# The compile cache (memory + optional disk tier)
+# The optimizer memo (link tier, memory only)
 # ---------------------------------------------------------------------------
-
-
-def cached_compile(expr: Expr, compute: Callable[[], Expr]) -> Expr:
-    """Compile through the content-addressed cache.
-
-    Hits return the stored node itself, so structurally identical
-    units across a program share one compiled body (the paper's
-    footnote-8 code sharing, for free).  Keying digests only the
-    *input* unit — never the (much larger) compiled output.
-    """
-    store = _active_store()
-    if store is None:
-        return compute()
-    t_start = time.perf_counter()
-    key = _terms.try_term_key(expr)
-    if key is None:
-        return compute()
-    found = store.compile.get(key)
-    if found is not _MISS:
-        _emit_hit("compile", "memory", t_start)
-        return found  # type: ignore[return-value]
-    loaded = store.disk_read_expr("compile", key)
-    if loaded is not None:
-        _emit_hit("compile", "disk", t_start)
-        store.compile.put(key, loaded)
-        return loaded
-    _emit_miss("compile", t_start)
-    out = compute()
-    store.compile.put(key, out)
-    from repro.lang.pretty import show
-
-    store.disk_write_text("compile", key, show(out) + "\n")
-    return out
-
-
-# ---------------------------------------------------------------------------
-# The link cache (memory + optional disk tier)
-# ---------------------------------------------------------------------------
-#
-# Linking is content-addressed exactly like compilation: the merged
-# unit a compound reduces to is a pure function of its constituents'
-# structure and the link-graph shape, so a compound whose constituent
-# digests are unchanged short-circuits to the stored merge.  Keys are
-# built from flat signature names (a clause's with/provides lists),
-# never from qualified paths — renaming a box or moving a unit between
-# files cannot invalidate an entry whose structure is unchanged.
-#
-# Failure discipline matches the other stores: clause violations are
-# raised by the caller *before* the lookup, and a merge aborted by a
-# :class:`repro.limits.BudgetExceeded` (deadline or substitution
-# budget) propagates out of ``compute`` before anything is stored, so
-# failed or exhausted links are never cached.
-
-
-def link_key(compound, first: Expr, second: Expr) -> str | None:
-    """The content key of one compound-link step (hex), or ``None``.
-
-    Digests the two constituent units' ``tk1`` keys plus the link-graph
-    shape: the compound's imports/exports and each clause's
-    with/provides name lists.  ``None`` when either constituent embeds
-    run-time data (machine states are never cached).
-    """
-    import hashlib
-
-    k1 = _terms.try_term_key(first)
-    if k1 is None:
-        return None
-    k2 = _terms.try_term_key(second)
-    if k2 is None:
-        return None
-    h = hashlib.blake2b(digest_size=16)
-    h.update(_terms.SCHEMA.encode("ascii"))
-    h.update(b"merge")
-    for part in (k1, k2):
-        h.update(part.encode("ascii"))
-    for names in (compound.imports, compound.exports,
-                  compound.first.withs, compound.first.provides,
-                  compound.second.withs, compound.second.provides):
-        h.update(b"/")
-        for name in names:
-            data = name.encode("utf-8")
-            h.update(str(len(data)).encode("ascii"))
-            h.update(b":")
-            h.update(data)
-    return h.hexdigest()
-
-
-def cached_link(compound, first: Expr, second: Expr,
-                compute: Callable[[], Expr]) -> Expr:
-    """Merge a compound's constituents through the link cache.
-
-    Hits return the stored merged unit itself, so an already-resolved
-    subgraph is shared instead of re-walked — the static linker and
-    the rewriting machine both come through here, and a subtree either
-    one resolved primes the other.  Deadline checks happen in the
-    caller before the lookup, so budget-governed runs poll the clock
-    on the fast path too.
-    """
-    store = _active_store()
-    if store is None:
-        return compute()
-    t_start = time.perf_counter()
-    key = link_key(compound, first, second)
-    if key is None:
-        return compute()
-    found = store.link.get(key)
-    if found is not _MISS:
-        _emit_hit("link", "memory", t_start)
-        return found  # type: ignore[return-value]
-    loaded = store.disk_read_unit(key)
-    if loaded is not None:
-        _emit_hit("link", "disk", t_start)
-        store.link.put(key, loaded)
-        store.record_link_deps(key, first, second)
-        return loaded
-    _emit_miss("link", t_start)
-    out = compute()
-    store.link.put(key, out)
-    store.record_link_deps(key, first, second)
-    from repro.lang.pretty import show
-
-    store.disk_write_text("link", key, show(out) + "\n")
-    return out
 
 
 def cached_optimize(unit: Expr, rounds: int,
                     compute: Callable[[], Expr]) -> Expr:
-    """Optimize a unit through the link cache (memory tier only).
+    """Optimize a unit through the link cache.
 
     The Section 4.2.4 optimizer runs as the second half of the link
     stage on the merged unit, is deterministic, and emits no events —
@@ -882,7 +599,7 @@ def cached_pycode(expr: Expr, generate: Callable[[], str]):
     source = generate()
     code = _pycode_compile(source)
     store.pycode.put(key, code)
-    store.disk_write_text("pycode", key, source, suffix=".py")
+    store.disk_write_pycode(key, source)
     return code
 
 
@@ -890,8 +607,8 @@ def cached_pycode(expr: Expr, generate: Callable[[], str]):
 # The flatten memo (memory tier only)
 # ---------------------------------------------------------------------------
 #
-# Warm link time is dominated by re-walking the whole program tree even
-# when every individual merge hits the link store.  The memo caches the
+# Warm link time is dominated by re-walking the whole program tree.
+# The memo caches the
 # *flattened result of an entire compound subtree*, keyed on the
 # subtree's digest plus everything `_flatten` consults about its
 # context: the unit bindings in scope (clause variables resolve through

@@ -62,7 +62,6 @@ from repro.lang.ast import (
 from repro.lang import terms as _terms
 from repro.lang.subst import fresh_like, free_vars
 from repro.obs import span as _obs_span
-from repro.units import cache as _cache
 from repro.units.ast import CompoundExpr, InvokeExpr, LinkClause, UnitExpr
 
 # ---------------------------------------------------------------------------
@@ -228,7 +227,7 @@ def compile_unit(unit: UnitExpr) -> Expr:
     with _obs_span("unit.compile", {
             "form": "unit", "imports": len(unit.imports),
             "exports": len(unit.exports), "defns": len(unit.defns)}):
-        return _cache.cached_compile(unit, lambda: _compile_unit(unit))
+        return _compile_unit(unit)
 
 
 def _compile_unit(unit: UnitExpr) -> Expr:
@@ -301,8 +300,7 @@ def compile_compound(compound: CompoundExpr) -> Expr:
     with _obs_span("unit.compile", {
             "form": "compound", "imports": len(compound.imports),
             "exports": len(compound.exports)}):
-        return _cache.cached_compile(
-            compound, lambda: _compile_compound(compound))
+        return _compile_compound(compound)
 
 
 def _compile_compound(compound: CompoundExpr) -> Expr:
@@ -377,7 +375,7 @@ def compile_invoke(invoke: InvokeExpr) -> Expr:
     """Transform an invoke into table construction plus a call."""
     with _obs_span("unit.compile", {
             "form": "invoke", "links": len(invoke.links)}):
-        return _cache.cached_compile(invoke, lambda: _compile_invoke(invoke))
+        return _compile_invoke(invoke)
 
 
 def _compile_invoke(invoke: InvokeExpr) -> Expr:

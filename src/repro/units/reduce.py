@@ -27,7 +27,6 @@ from repro.lang.errors import UnitLinkError
 from repro.lang.subst import fresh_like, free_vars, substitute
 from repro.obs import current as _obs_current
 from repro.serve import chaos as _chaos
-from repro.units import cache as _cache
 from repro.units.ast import CompoundExpr, InvokeExpr, UnitExpr
 
 
@@ -104,27 +103,15 @@ def merge_compound(compound: CompoundExpr, first: UnitExpr,
 
     budget = _limits.current()
     if budget is not None:
-        # Deadline polling stays *before* the cache lookup so a
-        # budget-governed run observes its deadline even when the merge
-        # itself would be a cache hit.
         budget.check_deadline(getattr(compound, "loc", None))
     if _chaos._armed:
-        # Mid-link exhaustion fires before the cache lookup, so an
-        # injected failure can never be stored.
         _chaos.exhaust("reduce.merge_compound")
     col = _obs_current()
     if col is None:
-        return _cache.cached_link(
-            compound, first, second,
-            lambda: _merge_bodies(compound, first, second, None))
-    # The span fires on hits too — only the nested `cache.*` event
-    # distinguishes a cached merge, so non-cache event counts stay
-    # cache-invariant.
+        return _merge_bodies(compound, first, second, None)
     with col.span("reduce.compound", {
             "defns": len(first.defns) + len(second.defns)}) as sp:
-        return _cache.cached_link(
-            compound, first, second,
-            lambda: _merge_bodies(compound, first, second, sp))
+        return _merge_bodies(compound, first, second, sp)
 
 
 def _merge_bodies(compound: CompoundExpr, first: UnitExpr,

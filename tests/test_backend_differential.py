@@ -180,12 +180,10 @@ class TestErrorTaxonomyAgrees:
         succeeded); but a BudgetExceeded raised *during* codegen leaves
         no entry behind (see tests/test_unit_cache.py for the disk
         half)."""
-        from repro.units.cache import PYCODE_CACHE
-
         expr = parse_program("(car 5)")
-        with unit_cache_scope():
+        with unit_cache_scope() as store:
             _pycode_failure(expr)
-            assert len(PYCODE_CACHE) == 1  # run-time failure: cacheable
+            assert len(store.pycode) == 1  # run-time failure: cacheable
 
 
 SPIN = "(invoke (unit (import) (export) (define spin (lambda () (spin))) (spin)))"
@@ -228,18 +226,16 @@ class TestBudgetExhaustionTaxonomy:
         """Deadline death inside ``compile_program`` must not populate
         the codegen cache — a rerun with a fresh budget gets a miss and
         a complete compilation, not a half-written entry."""
-        from repro.units.cache import PYCODE_CACHE
-
         expr = parse_program(SPIN)
         check_program(expr, strict_valuable=False)
-        with unit_cache_scope():
+        with unit_cache_scope() as store:
             with _limits.budget_scope(_limits.Budget(deadline_s=0.0)):
                 with pytest.raises(_limits.BudgetExceeded):
                     backend.compile_program(expr)
-            assert len(PYCODE_CACHE) == 0
+            assert len(store.pycode) == 0
             # A healthy budget afterwards compiles and runs fine.
             with _limits.budget_scope(_limits.Budget(eval_steps=10_000)):
                 with pytest.raises(_limits.BudgetExceeded) as err:
                     backend.compile_program(expr).run()
             assert err.value.resource == "eval_steps"
-            assert len(PYCODE_CACHE) == 1
+            assert len(store.pycode) == 1

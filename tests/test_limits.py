@@ -365,16 +365,16 @@ class TestBudgetCacheInteraction:
         from repro.units.check import check_unit
 
         expr = parse_program(SMALL).expr  # the unit form
-        with ucache.unit_cache_scope():
+        with ucache.unit_cache_scope() as store:
             dead = Budget(deadline_s=0.0)
             with budget_scope(dead):
                 with pytest.raises(BudgetExceeded):
                     check_unit(expr)
-            assert len(ucache.CHECK_CACHE) == 0
+            assert len(store.check) == 0
             # The same unit checks fine afterwards and only then lands
             # in the cache.
             check_unit(expr)
-            assert len(ucache.CHECK_CACHE) == 1
+            assert len(store.check) == 1
 
     def test_exhausted_run_leaves_no_cache_poison(self):
         # End-to-end: a budget-killed pipeline run must not make a
@@ -407,34 +407,33 @@ class TestBudgetCacheInteraction:
     """
 
     def test_deadline_exhausted_link_is_never_cached(self):
-        # The deadline is polled before the link-store lookup, so even
-        # a would-be hit observes it — and the aborted merge must not
-        # land in the store.
+        # The deadline is polled at every merge, and the aborted link
+        # must leave neither a flatten-memo nor an optimizer entry.
         from repro.units import cache as ucache
-        from repro.units.reduce import reduce_compound_expr
+        from repro.units.linker import link_and_optimize
 
         expr = parse_program(self.COLLIDING_COMPOUND)
-        with ucache.unit_cache_scope():
+        with ucache.unit_cache_scope() as store:
             with budget_scope(Budget(deadline_s=0.0)):
                 with pytest.raises(BudgetExceeded):
-                    reduce_compound_expr(expr)
-            assert len(ucache.LINK_CACHE) == 0
-            # The same compound merges fine afterwards and only then
-            # lands in the store.
-            reduce_compound_expr(expr)
-            assert len(ucache.LINK_CACHE) >= 1
+                    link_and_optimize(expr)
+            assert len(store.flatten) == 0 and len(store.link) == 0
+            # The same compound links fine afterwards and only then
+            # lands in the stores.
+            link_and_optimize(expr)
+            assert len(store.flatten) >= 1 and len(store.link) >= 1
 
     def test_mid_merge_exhaustion_is_never_cached(self):
         # Exhaustion *inside* the merge (the substitution budget trips
         # while alpha-renaming) propagates before anything is stored.
         from repro.units import cache as ucache
-        from repro.units.reduce import reduce_compound_expr
+        from repro.units.linker import link_and_optimize
 
         expr = parse_program(self.COLLIDING_COMPOUND)
-        with ucache.unit_cache_scope():
+        with ucache.unit_cache_scope() as store:
             with budget_scope(Budget(subst_nodes=1)):
                 with pytest.raises(BudgetExceeded):
-                    reduce_compound_expr(expr)
-            assert len(ucache.LINK_CACHE) == 0
-            reduce_compound_expr(expr)
-            assert len(ucache.LINK_CACHE) >= 1
+                    link_and_optimize(expr)
+            assert len(store.flatten) == 0 and len(store.link) == 0
+            link_and_optimize(expr)
+            assert len(store.flatten) >= 1 and len(store.link) >= 1

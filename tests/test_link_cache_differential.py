@@ -1,8 +1,8 @@
 """Link caching must be observationally invisible: a corpus sweep.
 
-PR 3 established the discipline for the compile/check caches; this
-suite holds the *link* store (``cached_link``/``cached_optimize``) to
-the same standard.  Every corpus program — untyped and typed — is
+The check-cache sweep established the discipline; this suite holds
+the link stage's stores (the ``flatten`` memo and the optimizer memo
+``cached_optimize``) to the same standard.  Every corpus program — untyped and typed — is
 statically linked and run three ways:
 
 * **off** — exactly as ``--no-term-cache`` would: term memoization
@@ -37,7 +37,6 @@ from repro.lang.values import to_write_string
 from repro.units.cache import unit_cache_scope
 from repro.units.check import check_program
 from repro.units.linker import link_and_optimize
-from repro.units.reduce import reduce_compound_expr
 
 from tests.test_corpus import CASES, _matches
 from tests.test_corpus_typed import CASES as TYPED_CASES
@@ -186,10 +185,9 @@ class TestLinkFailuresReproduce:
         assert not [e for e in col.events if e.kind == "cache.hit"]
 
     def test_failed_merge_leaves_store_empty(self):
-        from repro.units.cache import LINK_CACHE
-
-        expr = parse_program(BAD_COMPOUND).expr
-        with unit_cache_scope():
+        expr = parse_program(BAD_COMPOUND)
+        with unit_cache_scope() as store:
             with pytest.raises(UnitLinkError):
-                reduce_compound_expr(expr)
-            assert len(LINK_CACHE) == 0
+                link_and_optimize(expr)
+            assert len(store.flatten) == 0
+            assert len(store.link) == 0

@@ -10,7 +10,7 @@ properties:
   value are identical fresh, cold-cached, and warm-cached (modulo
   alpha-renaming of gensym'd privates), and the value matches the
   DAG's arithmetic meaning computed independently in Python;
-* **key stability** — :func:`repro.units.cache.link_key` ignores
+* **key stability** — :func:`repro.units.cache.flatten_key` ignores
   source locations: the same graph parsed from two different origins
   produces the same keys, and a warm store primed from one origin
   serves the other with hits only;
@@ -37,7 +37,7 @@ from repro.lang.pretty import show
 from repro.lang.values import to_write_string
 from repro.linking.graph import LinkGraph
 from repro.units.ast import CompoundExpr, InvokeExpr
-from repro.units.cache import link_key, unit_cache_scope
+from repro.units.cache import flatten_key, unit_cache_scope
 from repro.units.linker import link_and_optimize
 
 _GENSYM = re.compile(r"[^\s()\"]+%\d+")
@@ -155,7 +155,7 @@ class TestFreshVsCachedEquivalence:
                 _link_and_run(deps)
         link_events = [e for e in col.events
                        if e.kind.startswith("cache.")
-                       and e.fields.get("cache") == "link"]
+                       and e.fields.get("cache") in ("flatten", "link")]
         assert link_events, "warm pass consulted no link store"
         assert all(e.kind == "cache.hit" for e in link_events)
 
@@ -199,11 +199,12 @@ class TestKeyStability:
     @example(CHAIN)
     @example(FAN_IN)
     @given(link_dags())
-    def test_link_key_ignores_source_locations(self, deps):
+    def test_flatten_key_ignores_source_locations(self, deps):
         a = self._outer_compound(deps, "a.scm")
         b = self._outer_compound(deps, "b.scm")
-        key_a = link_key(a, a.first.expr, a.second.expr)
-        key_b = link_key(b, b.first.expr, b.second.expr)
+        with unit_cache_scope():
+            key_a = flatten_key(a, {}, frozenset())
+            key_b = flatten_key(b, {}, frozenset())
         assert key_a is not None
         assert key_a == key_b
 
@@ -224,7 +225,7 @@ class TestKeyStability:
                 link_and_optimize(parse_program(text, origin="there.scm"))
         link_events = [e for e in col.events
                        if e.kind.startswith("cache.")
-                       and e.fields.get("cache") == "link"]
+                       and e.fields.get("cache") in ("flatten", "link")]
         assert link_events
         assert all(e.kind == "cache.hit" for e in link_events)
 
