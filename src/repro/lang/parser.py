@@ -37,7 +37,7 @@ from repro.lang.ast import (
     seq_of,
 )
 from repro.lang.errors import ParseError, SrcLoc
-from repro.lang.sexpr import Datum, SList, Symbol, read_sexpr
+from repro.lang.sexpr import Datum, SList, Symbol, read_all_sexprs, read_sexpr
 from repro.units.ast import CompoundExpr, InvokeExpr, LinkClause, UnitExpr
 
 #: Names that are syntactic keywords and cannot be used as variables.
@@ -74,16 +74,12 @@ def parse_script(text: str, origin: str = "<script>") -> Expr:
     ``letrec`` so definitions may be mutually recursive.  The script's
     value is the last expression's value.
     """
-    from repro.lang.sexpr import read_all_sexprs
-
     data = read_all_sexprs(text, origin)
     if not data:
         raise ParseError("empty script", None)
     bindings: list[tuple[str, Expr]] = []
     body: list[Expr] = []
     for datum in data:
-        from repro.lang.sexpr import SList, Symbol
-
         if isinstance(datum, SList) and len(datum) > 0 \
                 and isinstance(datum[0], Symbol) \
                 and datum[0].name == "define":
@@ -113,8 +109,6 @@ def parse_library(text: str,
     units) for assembly by a separate script; they need no final
     expression.  Returns the definition bindings.
     """
-    from repro.lang.sexpr import SList, Symbol, read_all_sexprs
-
     bindings: list[tuple[str, Expr]] = []
     for datum in read_all_sexprs(text, origin):
         if isinstance(datum, SList) and len(datum) > 0 \
