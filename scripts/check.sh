@@ -15,8 +15,10 @@
 # quick bench
 # smoke finds the caches inert, if a warm sharing-064 pass fails to
 # serve its whole flattened subtree from the flatten memo
-# (docs/PERFORMANCE.md, "Link caching"), if a second pycode demo run
-# against the same cache dir misses the codegen store, or if the
+# (docs/PERFORMANCE.md, "Link caching"), if the reader's time grows
+# faster than its input (log-log slope above 1.25 from an 86 KB to a
+# 1.3 MB program; docs/PERFORMANCE.md, "Reader"), if a second pycode
+# demo run against the same cache dir misses the codegen store, or if the
 # batch-isolation smoke (one good, one looping, one ill-typed
 # program) does not yield exactly the expected records and
 # limit.exceeded trace event (docs/ROBUSTNESS.md), if the link-server
@@ -153,6 +155,41 @@ assert warm["link"] < cold["link"], \
     f"({cold['link']:.3f}s)"
 print(f"link cache ok: {flatten_hits} flatten hit(s), 0 misses; "
       f"link {cold['link']:.3f}s cold -> {warm['link']:.3f}s warm")
+EOF
+
+echo "==> gate: reader scaling (chain-128 vs chain-512 text)"
+python - <<'EOF'
+import math
+import time
+
+from repro import bench
+from repro.lang.pretty import show
+from repro.lang.sexpr import read_all_sexprs
+from repro.limits import Budget, budget_scope, python_recursion_headroom
+from repro.serve.handlers import MAX_DEPTH
+
+# show() still recurses, so generating the texts needs headroom; the
+# reader does not, and only the read is timed, under the served budget.
+# A ratio of two sizes holds on a noisy host.
+with python_recursion_headroom(40000):
+    small, large = (show(bench.chain_program(n)) for n in (128, 512))
+
+
+def best_read(text):
+    best = math.inf
+    for _ in range(3):
+        with budget_scope(Budget(max_depth=MAX_DEPTH)):
+            t0 = time.perf_counter()
+            read_all_sexprs(text)
+            best = min(best, time.perf_counter() - t0)
+    return best
+
+
+t_small, t_large = best_read(small), best_read(large)
+slope = math.log(t_large / t_small) / math.log(len(large) / len(small))
+print(f"reader scaling ok: {len(small)} chars {t_small * 1e3:.1f} ms, "
+      f"{len(large)} chars {t_large * 1e3:.1f} ms, slope {slope:.2f}")
+assert slope <= 1.25, f"reader time superlinear: slope {slope:.2f} > 1.25"
 EOF
 
 echo "==> smoke: pycode backend (codegen cache across invocations)"

@@ -7,15 +7,16 @@ report positions in unit sources.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 
-@dataclass(frozen=True)
-class SrcLoc:
+class SrcLoc(NamedTuple):
     """A source location: 1-based line and column, plus an origin label.
 
     The origin is typically a file name, an archive entry name, or a
-    description such as ``"<string>"`` for programmatic sources.
+    description such as ``"<string>"`` for programmatic sources.  The
+    reader builds one per symbol and list, so it is a named tuple:
+    immutable, picklable and cheaper to construct than a dataclass.
     """
 
     line: int
