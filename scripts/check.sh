@@ -11,8 +11,8 @@
 # (benchmarks/.metrics/metrics_baseline.json — regenerate with
 # scripts/update_metrics_baseline.sh after intentional changes), if
 # concurrent traced scopes cross-contaminate
-# span trees or drop events, if the demo records no cache hits, if the
-# quick bench
+# span trees or drop events, if the demo's second archive retrieval
+# misses the parse (dynlink) store, if the quick bench
 # smoke finds the caches inert, if a warm sharing-064 pass fails to
 # serve its whole flattened subtree from the flatten memo
 # (docs/PERFORMANCE.md, "Link caching"), if the reader's time grows
@@ -67,11 +67,13 @@ families = {e.family for e in events}
 missing = {"check", "link", "reduce", "unit", "dynlink", "cache"} - families
 assert events, "trace is empty"
 assert not missing, f"trace missing families: {sorted(missing)}"
-counters = json.load(open(sys.argv[2]))["counters"]
-assert counters.get("cache.hit", 0) >= 1, \
-    f"demo recorded no cache hits: {counters}"
+histograms = json.load(open(sys.argv[2]))["histograms"]
+dynlink_hits = histograms.get("cache.hit.dynlink", {}).get("count", 0)
+assert dynlink_hits >= 1, \
+    f"demo's second archive retrieval missed the dynlink store: " \
+    f"{sorted(histograms)}"
 print(f"trace ok: {len(events)} events, families {sorted(families)}, "
-      f"{counters['cache.hit']} cache hit(s)")
+      f"{dynlink_hits} dynlink cache hit(s)")
 EOF
 
 echo "==> smoke: trace report (span tree over the demo trace)"
@@ -130,9 +132,9 @@ from repro.limits import python_recursion_headroom
 from repro.units.cache import unit_cache_scope
 
 # One scope, two passes: the first primes the stores, the second must
-# link the 64-copy sharing program without recomputing anything — one
-# flatten-memo hit at the root (the whole flattened subtree), zero
-# misses anywhere in the link family.
+# flatten the 64-copy sharing program without re-walking it — one
+# flatten-memo hit at the root (the whole flattened subtree) and zero
+# flatten misses.  The optimizer is not memoized: it reruns warm.
 with python_recursion_headroom(40000):
     with unit_cache_scope():
         cold = _pipeline(sharing_program(64))
@@ -146,10 +148,9 @@ def count(kind, cache):
 flatten_hits = count("cache.hit", "flatten")
 assert flatten_hits >= 1, \
     "warm sharing-064 pass never hit the flatten memo"
-for cache in ("flatten", "link"):
-    misses = count("cache.miss", cache)
-    assert misses == 0, \
-        f"warm sharing-064 pass missed the {cache} store {misses}x"
+misses = count("cache.miss", "flatten")
+assert misses == 0, \
+    f"warm sharing-064 pass missed the flatten store {misses}x"
 assert warm["link"] < cold["link"], \
     f"warm link ({warm['link']:.3f}s) not faster than cold " \
     f"({cold['link']:.3f}s)"

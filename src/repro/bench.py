@@ -23,9 +23,10 @@ Workloads:
   the memo layer (free-variable sets, substitution short-circuits) and
   hash-consed generated code, not content reuse;
 * ``sharing-N`` — N copies of one 24-definition library unit linked
-  into a program (the paper's footnote-8 code-sharing scenario): the
-  content-addressed compile/check caches collapse the copies, so even
-  a cold run checks the library once;
+  into a program (the paper's footnote-8 code-sharing scenario): a
+  warm pass serves the whole flattened program from the flatten memo,
+  and the ``run`` request reuses the ``link`` request's check verdict
+  on the parse entry, so each pass checks the N copies once;
 * ``phonebook`` — ``examples/phonebook.scm``, the paper's running
   example, as a realistic small program.
 
@@ -99,9 +100,10 @@ def _library_source(defns: int) -> str:
 def sharing_program(n: int, defns: int = 24) -> Expr:
     """N copies of one library unit linked into a program.
 
-    Every copy is structurally identical, so the content-addressed
-    caches check and compile the library once and reuse it n-1 times —
-    cold, within a single run.
+    Every copy is structurally identical.  Cold, each copy is still
+    checked and optimized on its own: that costs less than digesting
+    the copy for a per-unit memo did (docs/PERFORMANCE.md, "Cache
+    tiers").
     """
     source = _library_source(defns)
     graph = LinkGraph(exports=())

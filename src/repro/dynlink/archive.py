@@ -220,7 +220,9 @@ class UnitArchive:
         try:
             # Repeated loads of the same entry parse once; the key
             # includes the origin so cached locations stay truthful.
-            expr = _cache.cached_parse(
+            # Figure 7's checks below always run: the parse entry's
+            # check verdict is the served pipeline's, not retrieval's.
+            expr, _verdict = _cache.cached_parse(
                 origin + "\x00" + entry.source,
                 lambda: parse_program(entry.source, origin=origin))
         except BudgetExceeded:

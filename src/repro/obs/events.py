@@ -76,7 +76,8 @@ KINDS: dict[str, str] = {
     # wraps each item in stage.item so per-item latency is a span too)
     "stage.item": "one batch item ran end to end",
     "stage.parse": "source text was parsed",
-    "stage.check": "the parsed program was type-checked",
+    "stage.check": "the parsed program was checked (or reused the "
+                   "check verdict on its parse entry)",
     "stage.link": "the checked program was statically linked",
     "stage.archive": "the program round-tripped the dynlink archive",
     "stage.eval": "the checked program was evaluated",

@@ -148,16 +148,24 @@ def run_pipeline(req: Mapping[str, object], timings: dict[str, float],
     op = req["op"]
     source = req["source"]
     origin = req.get("origin", "<request>")
+    libraries = req.get("libraries", ())
+    strict = not req.get("lenient", False)
+    # Warm requests re-send the same source text, so parse through the
+    # content-addressed parse store (keyed on the full text, origin
+    # prepended exactly as the archive layer does).
+    parse_key = origin + "\x00" + source
     with _stage_span("stage.parse", timings):
-        # Warm requests re-send the same source text, so parse through
-        # the content-addressed parse store (keyed on the full text,
-        # origin prepended exactly as the archive layer does).
-        expr = _ucache.cached_parse(
-            origin + "\x00" + source,
-            lambda: parse_script(source, origin=origin))
-        expr = with_libraries(expr, req.get("libraries", ()))
+        expr, verdict = _ucache.cached_parse(
+            parse_key, lambda: parse_script(source, origin=origin))
+        expr = with_libraries(expr, libraries)
     with _stage_span("stage.check", timings):
-        check_program(expr, strict_valuable=not req.get("lenient", False))
+        # Figure 10 depends only on syntax, so a text that passed in
+        # this strictness mode passes again.  With libraries the
+        # checked program is not the parsed text: no verdict either way.
+        if libraries or strict not in verdict:
+            check_program(expr, strict_valuable=strict)
+            if not libraries:
+                _ucache.record_verdict(parse_key, expr, verdict | {strict})
     if op == "check":
         return "ok", ""
     if op == "link":

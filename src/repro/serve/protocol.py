@@ -21,7 +21,8 @@ a response echoes the request's ``id`` and carries a ``status``:
 Ops: ``ping`` (liveness), ``metrics`` (one coherent ``metrics1``
 snapshot of the whole process under ``"metrics"``), ``stats`` (cache
 store occupancy), ``flush`` (drop the shared store's memory tiers),
-``invalidate`` (drop everything derived from one ``tk1`` ``digest``),
+``invalidate`` (drop everything derived from one ``tk1`` ``digest``:
+32 lowercase hex characters, anything else is a protocol error),
 ``check`` / ``link`` / ``run`` (the pipeline, executed in a worker
 thread under the request's own budget — see
 :mod:`repro.serve.handlers`).
@@ -41,6 +42,7 @@ from typing import Mapping
 from repro.limits import BudgetExceeded
 from repro.serve.chaos import FAULTS
 from repro.serve.handlers import error_payload
+from repro.units.cache import validate_digest
 
 SCHEMA = "serve1"
 
@@ -74,10 +76,10 @@ def validate_request(obj: object) -> dict[str, object]:
         raise ProtocolError(f"unknown op {op!r} (expected one of {OPS})")
     req: dict[str, object] = {"id": obj.get("id"), "op": op}
     if op == "invalidate":
-        digest = obj.get("digest")
-        if not isinstance(digest, str) or not digest:
-            raise ProtocolError("invalidate needs a non-empty 'digest'")
-        req["digest"] = digest
+        try:
+            req["digest"] = validate_digest(obj.get("digest"))
+        except ValueError as err:
+            raise ProtocolError(f"invalidate: {err}") from None
         return req
     if op not in PIPELINE_OPS:
         return req

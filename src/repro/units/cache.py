@@ -1,24 +1,25 @@
-"""Content-addressed caches for checked, linked, and compiled units.
+"""Content-addressed caches for parsed, linked, and compiled units.
 
-Units are syntax, and structurally identical syntax checks, optimizes,
-and compiles identically — so the Figure 10 checker, the Section 4.2.4
-optimizer, the pycode backend, and the dynamic-linking archive can
-reuse results keyed by the stable :func:`repro.lang.terms.term_key`
-digest.  Five stores live in a :class:`CacheStore`:
+Units are syntax, and structurally identical syntax flattens and
+compiles identically — so the Figure 11 linker, the pycode backend,
+and the dynamic-linking archive can reuse results keyed by stable
+digests.  Three stores live in a :class:`CacheStore`:
 
-* the **check cache** — ``(term_key, strict?) -> passed`` for
-  successful :func:`repro.units.check.check_unit` runs (failures are
-  never cached: the error message and trace event must re-fire);
-* the **link cache** — :func:`cached_optimize` keys the Section 4.2.4
-  optimizer's output on the merged unit's digest and round count;
-* the **parse cache** — ``sha256(source) -> unit syntax`` for archive
-  retrievals and served programs, so repeatedly loading the same text
-  parses once;
+* the **parse cache** (``dynlink``) — ``sha256(source) -> (unit
+  syntax, verdict)`` for archive retrievals and served programs, so
+  repeatedly loading the same text parses once.  The *verdict* is the
+  set of strictness modes in which :func:`repro.units.check
+  .check_program` has already passed on that syntax: Figure 10's
+  checks depend on nothing but the syntax, so a served program that
+  passed once skips re-checking (:func:`record_verdict`; failures
+  never record one, so their errors and trace events re-fire);
 * the **codegen (pycode) cache** and the **flatten memo** — see their
   sections below.  The flatten memo is what makes a warm re-link
   cheap: it stores whole flattened compound subtrees, so individual
   Figure 11 merges are never cached on their own (a merge is cheaper
-  to redo than to key and store).
+  to redo than to key and store).  The Section 4.2.4 optimizer and
+  the per-unit Figure 10 checks are not cached: a memo in front of
+  either cost more than it saved (docs/PERFORMANCE.md).
 
 Scoping: the caches are **inactive by default** and enabled per scope.
 :func:`unit_cache_scope` creates a *fresh* :class:`CacheStore` for the
@@ -49,7 +50,8 @@ emits ``cache.evict`` with ``reason: "ttl"``).
 :meth:`CacheStore.invalidate` removes every entry derived from a given
 ``tk1`` digest — memory entries whose key embeds the digest and the
 digest's pycode disk file — so a serving process can drop one unit's
-results without flushing the world.
+results without flushing the world.  :func:`validate_digest` rejects
+anything but a ``tk1`` digest before it can become a disk path.
 
 Every lookup emits exactly one ``cache.hit`` or ``cache.miss`` event
 (guarded, so nothing is built when observability is off) carrying the
@@ -62,7 +64,9 @@ strands old entries instead of misreading them.
 
 from __future__ import annotations
 
+import hashlib
 import os
+import re
 import threading
 import time
 from collections import OrderedDict
@@ -79,8 +83,7 @@ from repro.serve import chaos as _chaos
 _MISS = object()
 
 #: Default LRU capacities per store (scaled by ``CacheStore(scale=)``).
-_SIZES = {"check": 4096, "link": 1024, "dynlink": 256, "pycode": 256,
-          "flatten": 512}
+_SIZES = {"dynlink": 256, "pycode": 256, "flatten": 512}
 
 #: How many stripes the per-digest disk locks are spread over.
 _DIGEST_STRIPES = 64
@@ -204,6 +207,22 @@ class TermCache:
             self._stamps.clear()
 
 
+_TK1_DIGEST = re.compile(r"[0-9a-f]{32}")
+
+
+def validate_digest(digest: object) -> str:
+    """Return ``digest`` if it is a ``tk1`` term digest (exactly 32
+    lowercase hex characters, as :func:`repro.lang.terms.term_key`
+    makes), else raise ``ValueError``: :meth:`CacheStore.invalidate`
+    builds a disk path from it, so an absolute path or a ``../`` must
+    never get that far."""
+    if not isinstance(digest, str) or not _TK1_DIGEST.fullmatch(digest):
+        raise ValueError(
+            f"not a {_terms.SCHEMA} digest (32 lowercase hex "
+            f"characters): {digest!r}")
+    return digest
+
+
 def _key_contains(key: object, digest: str) -> bool:
     if key == digest:
         return True
@@ -248,13 +267,10 @@ class CacheStore:
                 lock=threading.Lock() if thread_safe else None,
                 ttl_s=ttl_s, clock=clock)
 
-        self.check = make("check")
-        self.link = make("link")
         self.parse = make("dynlink")
         self.pycode = make("pycode")
         self.flatten = make("flatten")
-        self.caches = (self.check, self.link, self.parse, self.pycode,
-                       self.flatten)
+        self.caches = (self.parse, self.pycode, self.flatten)
         self._stripes = (tuple(threading.Lock()
                                for _ in range(_DIGEST_STRIPES))
                          if thread_safe else None)
@@ -273,11 +289,12 @@ class CacheStore:
     def invalidate(self, digest: str) -> int:
         """Drop every entry derived from one ``tk1`` digest.
 
-        Covers memory entries whose key embeds the digest (check,
-        pycode, flatten, and the link tier's ``("opt", ...)`` optimizer
-        entries) and the digest's pycode disk file.  Returns how many
-        entries were removed.
+        Covers memory entries whose key embeds the digest (pycode and
+        flatten) and the digest's pycode disk file.  Returns how many
+        entries were removed; raises ``ValueError`` for anything but a
+        ``tk1`` digest (see :func:`validate_digest`).
         """
+        validate_digest(digest)
         removed = 0
         for cache in self.caches:
             for key in cache.matching(digest):
@@ -464,99 +481,52 @@ def _emit_miss(name: str, t_start: float | None = None) -> None:
 
 
 # ---------------------------------------------------------------------------
-# The optimizer memo (link tier, memory only)
+# The parse cache and the check verdict it carries
 # ---------------------------------------------------------------------------
 
 
-def cached_optimize(unit: Expr, rounds: int,
-                    compute: Callable[[], Expr]) -> Expr:
-    """Optimize a unit through the link cache.
-
-    The Section 4.2.4 optimizer runs as the second half of the link
-    stage on the merged unit, is deterministic, and emits no events —
-    so its output is content-addressed under the same ``link`` store,
-    keyed on the input unit's digest and the round count.  Exceptions
-    (including budget exhaustion mid-substitution) propagate before
-    anything is stored.
-    """
-    store = _active_store()
-    if store is None:
-        return compute()
-    t_start = time.perf_counter()
-    key = _terms.try_term_key(unit)
-    if key is None:
-        return compute()
-    found = store.link.get(("opt", key, rounds))
-    if found is not _MISS:
-        _emit_hit("link", "memory", t_start)
-        return found  # type: ignore[return-value]
-    _emit_miss("link", t_start)
-    out = compute()
-    store.link.put(("opt", key, rounds), out)
-    return out
+def _parse_key(source: str) -> str:
+    return hashlib.sha256(source.encode("utf-8")).hexdigest()
 
 
-# ---------------------------------------------------------------------------
-# The check cache (successes only)
-# ---------------------------------------------------------------------------
-
-
-def checked_ok(expr: Expr, strict_valuable: bool) -> bool:
-    """Did a structurally identical unit already pass this check?
-
-    Emits the hit/miss event; a ``True`` return means the caller may
-    skip re-checking.  Inactive caches answer ``False`` silently.
-    """
-    store = _active_store()
-    if store is None:
-        return False
-    t_start = time.perf_counter()
-    key = _terms.try_term_key(expr)
-    if key is None:
-        return False
-    if store.check.get((key, strict_valuable)) is not _MISS:
-        _emit_hit("check", "memory", t_start)
-        return True
-    _emit_miss("check", t_start)
-    return False
-
-
-def record_checked(expr: Expr, strict_valuable: bool) -> None:
-    """Record that ``expr`` passed checking (no event: not a lookup)."""
-    store = _active_store()
-    if store is None:
-        return
-    key = _terms.try_term_key(expr)
-    if key is not None:
-        store.check.put((key, strict_valuable), True)
-
-
-# ---------------------------------------------------------------------------
-# The archive parse cache
-# ---------------------------------------------------------------------------
-
-
-def cached_parse(source: str, compute: Callable[[], Expr]) -> Expr:
-    """Parse archived unit source through the cache.
+def cached_parse(source: str, compute: Callable[[], Expr]
+                 ) -> tuple[Expr, frozenset[bool]]:
+    """Parse source text through the cache; returns ``(syntax,
+    verdict)``.
 
     Keyed by the full text handed in — callers prepend any context
     (like the parse origin) that the cached syntax must agree with.
+    The verdict holds the ``strict_valuable`` flags with which
+    ``check_program`` already passed on this syntax (empty on a miss,
+    and whenever the caches are inactive).
     """
     store = _active_store()
     if store is None:
-        return compute()
-    import hashlib
-
+        return compute(), frozenset()
     t_start = time.perf_counter()
-    key = hashlib.sha256(source.encode("utf-8")).hexdigest()
+    key = _parse_key(source)
     found = store.parse.get(key)
     if found is not _MISS:
         _emit_hit("dynlink", "memory", t_start)
         return found  # type: ignore[return-value]
     _emit_miss("dynlink", t_start)
-    out = compute()
-    store.parse.put(key, out)
-    return out
+    entry = (compute(), frozenset())
+    store.parse.put(key, entry)
+    return entry
+
+
+def record_verdict(source: str, expr: Expr,
+                   verdict: frozenset[bool]) -> None:
+    """Store ``verdict`` on the parse entry of ``source`` (no event:
+    not a lookup).
+
+    The entry is replaced, never mutated, so a ``thread_safe`` store's
+    lock covers the update.  Only a check that completed may record:
+    failures must re-fire their errors every time.
+    """
+    store = _active_store()
+    if store is not None:
+        store.parse.put(_parse_key(source), (expr, verdict))
 
 
 # ---------------------------------------------------------------------------

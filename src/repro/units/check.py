@@ -33,7 +33,6 @@ from repro.lang.ast import (
 )
 from repro.lang.errors import CheckError
 from repro.obs import span as _obs_span
-from repro.units import cache as _cache
 from repro.units.ast import CompoundExpr, InvokeExpr, UnitExpr
 from repro.units.valuable import is_valuable
 
@@ -117,12 +116,6 @@ def check_unit(expr: UnitExpr, strict_valuable: bool = True) -> None:
         budget = _limits.current()
         if budget is not None:
             budget.check_deadline(expr.loc)
-        # Checking is a pure function of the unit's structure, so a
-        # structurally identical unit that already passed need not be
-        # re-walked.  The span above still fires: event counts are the
-        # same with caching on or off.  Failures are never recorded.
-        if _cache.checked_ok(expr, strict_valuable):
-            return
         _require_distinct(expr.imports + expr.defined,
                           "unit import/definition", expr)
         _require_distinct(expr.exports, "unit export", expr)
@@ -141,7 +134,6 @@ def check_unit(expr: UnitExpr, strict_valuable: bool = True) -> None:
                     f"reference a unit variable)", expr.loc)
             check_expr(rhs, strict_valuable)
         check_expr(expr.init, strict_valuable)
-        _cache.record_checked(expr, strict_valuable)
 
 
 def check_compound(expr: CompoundExpr, strict_valuable: bool = True) -> None:

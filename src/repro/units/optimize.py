@@ -177,20 +177,13 @@ def optimize_unit(unit: UnitExpr, rounds: int = 4) -> UnitExpr:
     valuable (effect-free) definitions are touched — the same
     behaviour; the differential tests check that claim.
     """
-    from repro.units.cache import cached_optimize
-
-    def compute() -> UnitExpr:
-        current = unit
-        for _ in range(rounds):
-            step = _optimize_unit_once(current)
-            if step == current:
-                return step
-            current = step
-        return current
-
-    # Deterministic, event-free work: content-addressing it under the
-    # link store cannot perturb trace-event counts.
-    return cached_optimize(unit, rounds, compute)
+    current = unit
+    for _ in range(rounds):
+        step = _optimize_unit_once(current)
+        if step == current:
+            return step
+        current = step
+    return current
 
 
 def _optimize_unit_once(unit: UnitExpr) -> UnitExpr:

@@ -357,25 +357,6 @@ class TestRecursionHeadroom:
 
 
 class TestBudgetCacheInteraction:
-    def test_exhausted_check_is_never_cached(self):
-        # Mirrors the "check failures are never cached" rule: a check
-        # pass aborted by the deadline must not mark the unit as
-        # checked, or a later (healthy) run would skip real premises.
-        from repro.units import cache as ucache
-        from repro.units.check import check_unit
-
-        expr = parse_program(SMALL).expr  # the unit form
-        with ucache.unit_cache_scope() as store:
-            dead = Budget(deadline_s=0.0)
-            with budget_scope(dead):
-                with pytest.raises(BudgetExceeded):
-                    check_unit(expr)
-            assert len(store.check) == 0
-            # The same unit checks fine afterwards and only then lands
-            # in the cache.
-            check_unit(expr)
-            assert len(store.check) == 1
-
     def test_exhausted_run_leaves_no_cache_poison(self):
         # End-to-end: a budget-killed pipeline run must not make a
         # later run observe different (cached-success) behaviour.
@@ -408,7 +389,7 @@ class TestBudgetCacheInteraction:
 
     def test_deadline_exhausted_link_is_never_cached(self):
         # The deadline is polled at every merge, and the aborted link
-        # must leave neither a flatten-memo nor an optimizer entry.
+        # must leave no flatten-memo entry.
         from repro.units import cache as ucache
         from repro.units.linker import link_and_optimize
 
@@ -417,11 +398,11 @@ class TestBudgetCacheInteraction:
             with budget_scope(Budget(deadline_s=0.0)):
                 with pytest.raises(BudgetExceeded):
                     link_and_optimize(expr)
-            assert len(store.flatten) == 0 and len(store.link) == 0
+            assert len(store.flatten) == 0
             # The same compound links fine afterwards and only then
-            # lands in the stores.
+            # lands in the store.
             link_and_optimize(expr)
-            assert len(store.flatten) >= 1 and len(store.link) >= 1
+            assert len(store.flatten) >= 1
 
     def test_mid_merge_exhaustion_is_never_cached(self):
         # Exhaustion *inside* the merge (the substitution budget trips
@@ -434,6 +415,6 @@ class TestBudgetCacheInteraction:
             with budget_scope(Budget(subst_nodes=1)):
                 with pytest.raises(BudgetExceeded):
                     link_and_optimize(expr)
-            assert len(store.flatten) == 0 and len(store.link) == 0
+            assert len(store.flatten) == 0
             link_and_optimize(expr)
-            assert len(store.flatten) >= 1 and len(store.link) >= 1
+            assert len(store.flatten) >= 1

@@ -1,9 +1,9 @@
 """Link caching must be observationally invisible: a corpus sweep.
 
-The check-cache sweep established the discipline; this suite holds
-the link stage's stores (the ``flatten`` memo and the optimizer memo
-``cached_optimize``) to the same standard.  Every corpus program — untyped and typed — is
-statically linked and run three ways:
+The cache sweep established the discipline; this suite holds the
+link stage's store (the ``flatten`` memo) to the same standard.  Every
+corpus program — untyped and typed — is statically linked and run
+three ways:
 
 * **off** — exactly as ``--no-term-cache`` would: term memoization
   off, content caches inert;
@@ -190,4 +190,3 @@ class TestLinkFailuresReproduce:
             with pytest.raises(UnitLinkError):
                 link_and_optimize(expr)
             assert len(store.flatten) == 0
-            assert len(store.link) == 0

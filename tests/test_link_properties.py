@@ -155,16 +155,15 @@ class TestFreshVsCachedEquivalence:
                 _link_and_run(deps)
         link_events = [e for e in col.events
                        if e.kind.startswith("cache.")
-                       and e.fields.get("cache") in ("flatten", "link")]
+                       and e.fields.get("cache") == "flatten"]
         assert link_events, "warm pass consulted no link store"
         assert all(e.kind == "cache.hit" for e in link_events)
 
     def test_shared_subtrees_collapse(self):
         """Structurally identical sibling sub-compounds share one
         merge: resolving the first primes the second, within a single
-        cold pass.  Since the flatten memo (PR 8) the second sibling is
-        served a level higher — the whole flattened subtree, not just
-        the merge — so the hit may come from either store."""
+        cold pass.  The flatten memo serves the second sibling whole:
+        the flattened subtree, not just the merge."""
         inner = """
             (compound (import) (export f)
               (link ((unit (import) (export g)
@@ -181,7 +180,7 @@ class TestFreshVsCachedEquivalence:
         with unit_cache_scope(), obs.collecting() as col:
             linked, stats = link_and_optimize(program)
         hits = [e for e in col.events if e.kind == "cache.hit"
-                and e.fields.get("cache") in ("link", "flatten")]
+                and e.fields.get("cache") == "flatten"]
         assert stats.merged == 3  # two identical inner merges + outer
         assert hits, "identical sibling merges missed every store"
 
@@ -225,7 +224,7 @@ class TestKeyStability:
                 link_and_optimize(parse_program(text, origin="there.scm"))
         link_events = [e for e in col.events
                        if e.kind.startswith("cache.")
-                       and e.fields.get("cache") in ("flatten", "link")]
+                       and e.fields.get("cache") == "flatten"]
         assert link_events
         assert all(e.kind == "cache.hit" for e in link_events)
 

@@ -84,6 +84,10 @@ class TestValidateRequest:
         {"op": "run", "source": "(x)", "chaos_slow_s": -1},
         {"op": "invalidate"},
         {"op": "invalidate", "digest": ""},
+        {"op": "invalidate", "digest": "/tmp/victim/keep"},
+        {"op": "invalidate", "digest": "../../../victim/keep"},
+        {"op": "invalidate", "digest": "0123456789ABCDEF" * 2},
+        {"op": "invalidate", "digest": 12345},
     ])
     def test_rejections(self, bad):
         with pytest.raises(protocol.ProtocolError):

@@ -149,11 +149,11 @@ class TestLinkExhaustFault:
                          chaos=["link-exhaust"])
         assert exhausted["status"] == "error"
         assert exhausted["error"]["type"] == "BudgetExceeded"
-        assert len(store.link) == 0
+        assert len(store.flatten) == 0
         clean = _run(store, op="link", source=self.COMPOUND)
         assert clean["status"] == "ok"
         assert clean["value"].startswith("(")
-        assert len(store.link) >= 1
+        assert len(store.flatten) >= 1
         # And the run op still computes the right value afterwards.
         ran = _run(store, source=self.COMPOUND)
         assert ran["value"] == "42"

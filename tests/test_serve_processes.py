@@ -25,6 +25,7 @@ Also covered here:
 
 from __future__ import annotations
 
+import os
 from pathlib import Path
 
 import pytest
@@ -239,6 +240,33 @@ class TestProcessModeControlOps:
                 second = client.request("invalidate", digest=digest)
         assert first["removed"] >= 2  # at least one entry per worker
         assert second["removed"] == 0  # idempotent across the pool
+
+    @pytest.mark.parametrize("processes", [0, 2],
+                             ids=["threads", "processes"])
+    def test_invalidate_rejects_path_digests(self, tmp_path, processes):
+        """A digest names a cache entry, never a path: an absolute or
+        ``../`` digest is a protocol error, and the ``.py`` file it
+        points at survives."""
+        victim = tmp_path / "victim" / "keep.py"
+        victim.parent.mkdir()
+        victim.write_text("keep = True\n")
+        cache_dir = tmp_path / "cache"
+        pycode_dir = cache_dir / "v1-tk1" / "pycode"
+        escape = os.path.relpath(victim.with_suffix(""), pycode_dir)
+        config = ServeConfig(processes=processes,
+                             cache_dir=str(cache_dir),
+                             default_deadline_s=60.0)
+        with ServerThread(config) as st:
+            with ServeClient(st.host, st.port,
+                             timeout_s=120.0) as client:
+                client.request("run", source=GREET)
+                for digest in (str(victim.with_suffix("")), escape):
+                    response = client.request("invalidate", digest=digest)
+                    assert response["status"] == "error", response
+                    assert response["error"]["type"] == "ProtocolError"
+                assert client.request("ping")["status"] == "ok"
+        assert pycode_dir.is_dir()  # the escape was aimed from here
+        assert victim.read_text() == "keep = True\n"
 
     def test_thread_mode_stats_names_its_mode(self):
         with ServerThread(ServeConfig(workers=3)) as st:

@@ -13,7 +13,7 @@ on:
 * TTL expiry evicts by age at lookup time, with a ``cache.evict``
   event carrying ``reason: "ttl"``;
 * ``invalidate(digest)`` removes the digest's memory entries and its
-  pycode disk file;
+  pycode disk file, and accepts nothing but a ``tk1`` digest;
 * disk writes are atomic (no ``.tmp`` residue, concurrent writers
   never produce a torn entry) and corrupt entries are unlinked and
   reported as misses;
@@ -29,13 +29,12 @@ import pytest
 
 from repro import obs
 from repro.lang import terms
-from repro.lang.interp import Interpreter
 from repro.lang.parser import parse_program
-from repro.lang.values import to_write_string
 from repro.units import cache as ucache
 from repro.units.cache import CacheStore, TermCache, cache_store_scope
 from repro.units.check import check_program
 from repro.units.linker import link_and_optimize
+from repro.serve.handlers import run_pipeline
 
 
 def _unit_source(i: int) -> str:
@@ -111,9 +110,9 @@ class TestConcurrentStore:
             with cache_store_scope(store):
                 barrier.wait()
                 if populate:
-                    ucache.record_checked(program, True)
+                    ucache.cached_pycode(program, lambda: _module(0))
                 barrier.wait()
-                lens[name] = len(ucache.current_store().check)
+                lens[name] = len(ucache.current_store().pycode)
 
         threads = [threading.Thread(target=use, args=("a", a, True)),
                    threading.Thread(target=use, args=("b", b, False))]
@@ -143,10 +142,10 @@ class TestTtlEviction:
         store = CacheStore(ttl_s=5.0, clock=lambda: clock[0])
         program = _programs(1)[0]
         with cache_store_scope(store):
-            ucache.cached_optimize(program, 1, lambda: program)
+            ucache.cached_pycode(program, lambda: _module(0))
             clock[0] = 6.0
             with obs.collecting() as col:
-                ucache.cached_optimize(program, 1, lambda: program)
+                ucache.cached_pycode(program, lambda: _module(0))
         kinds = [e.kind for e in col.events]
         assert "cache.evict" in kinds and "cache.miss" in kinds
 
@@ -185,38 +184,27 @@ class TestInvalidation:
         store = CacheStore(tmp_path)
         with cache_store_scope(store):
             ucache.cached_pycode(program, lambda: _module(0))
-            ucache.record_checked(program, True)
-        assert len(store.pycode) == 1 and len(store.check) == 1
+            ucache.flatten_store((key, (), ()), ("flattened",))
+        assert len(store.pycode) == 1 and len(store.flatten) == 1
         assert store.invalidate(key) >= 3  # memory x2 + disk file
-        assert len(store.pycode) == 0 and len(store.check) == 0
+        assert len(store.pycode) == 0 and len(store.flatten) == 0
         with cache_store_scope(store), obs.collecting() as col:
             ucache.cached_pycode(program, lambda: _module(0))
         kinds = [e.kind for e in col.events
                  if e.fields.get("cache") == "pycode"]
         assert kinds == ["cache.miss"]
 
-
-    def test_invalidate_drops_optimizer_entries(self):
-        program = _programs(1)[0]
-        key = terms.term_key(program)
-        store = CacheStore()
-        with cache_store_scope(store):
-            ucache.cached_optimize(program, 1, lambda: program)
-            ucache.cached_optimize(program, 2, lambda: program)
-        assert len(store.link) == 2
-        assert store.invalidate(key) == 2
-        assert len(store.link) == 0
-
-    def test_optimizer_key_includes_rounds(self):
-        program = _programs(1)[0]
-        store = CacheStore()
-        with cache_store_scope(store), obs.collecting() as col:
-            ucache.cached_optimize(program, 1, lambda: program)
-            ucache.cached_optimize(program, 2, lambda: program)
-            ucache.cached_optimize(program, 2, lambda: program)
-        kinds = [e.kind for e in col.events
-                 if e.fields.get("cache") == "link"]
-        assert kinds == ["cache.miss", "cache.miss", "cache.hit"]
+    def test_path_digest_cannot_unlink_outside_the_cache(self, tmp_path):
+        victim = tmp_path / "victim" / "keep.py"
+        victim.parent.mkdir()
+        victim.write_text("keep = True\n")
+        store = CacheStore(tmp_path / "cache")
+        escape = "../../../victim/keep"
+        assert store._disk_path(escape).resolve() == victim.resolve()
+        for digest in (str(victim.with_suffix("")), escape):
+            with pytest.raises(ValueError):
+                store.invalidate(digest)
+        assert victim.exists()
 
 
 class TestDiskTierHardening:
@@ -281,11 +269,9 @@ class TestEvictionChurnDifferential:
         with scope:
             for source in self.SOURCES:
                 for _repeat in range(3):  # churn: revisit every program
-                    expr = parse_program(source)
-                    check_program(expr)
-                    interp = Interpreter()
-                    value = to_write_string(interp.eval(expr))
-                    out.append((value, interp.port.getvalue()))
+                    out.append(run_pipeline(
+                        {"op": "run", "source": source,
+                         "backend": "interp"}, {}))
         return out
 
     def test_churning_store_matches_uncached(self):

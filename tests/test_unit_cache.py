@@ -5,14 +5,14 @@ The invariants under test:
 * caches are inert by default and strictly scoped — library callers
   never observe another caller's cache state;
 * every lookup emits exactly one ``cache.hit``/``cache.miss`` event
-  naming its cache, evictions emit ``cache.evict``, and the pipeline's
-  own spans (``check.unit``) fire whether or not the body was skipped,
-  so non-cache event counts are cache-invariant;
-* check failures are never cached;
+  naming its cache, and evictions emit ``cache.evict``;
+* the parse entry's check verdict skips re-checking a served program
+  only in the strictness mode it passed, never for a failure, an
+  exhausted check, or a request with libraries;
 * a cold cached link does no pretty-printing (merges are not stored);
 * the flatten memo shares one merge among structural copies, keyed
   on a digest that ignores source locations but not link shape;
-* a store has five tiers, and only pycode modules reach the disk;
+* a store has three tiers, and only pycode modules reach the disk;
 * the pycode disk tier round-trips generated modules across scopes and
   treats corrupt entries as misses;
 * ``repro trace report`` renders a cache-efficiency section, and the
@@ -26,6 +26,7 @@ import pytest
 from repro import obs
 from repro.lang import terms
 from repro.lang.errors import CheckError
+from repro.limits import Budget, BudgetExceeded, budget_scope
 from repro.lang.parser import parse_program
 from repro.lang.pretty import show
 from repro.units import cache
@@ -34,7 +35,8 @@ from repro.units.cache import (
     unit_cache_scope,
     unit_caches_active,
 )
-from repro.units.check import check_program, check_unit
+from repro.serve import handlers
+from repro.units.check import check_program
 from repro.dynlink.archive import UnitArchive
 
 UNIT_SRC = ("(unit (import a) (export f)"
@@ -60,6 +62,13 @@ def _canon(text):
 
 def _cache_events(col, kind):
     return [e for e in col.events if e.kind == kind]
+
+
+def _request(source=UNIT_SRC, timings=None, **fields):
+    """One served pipeline request (``check`` unless ``op`` is given);
+    its parse is a lookup in the ``dynlink`` tier."""
+    req = {"op": "check", "source": source, **fields}
+    return handlers.run_pipeline(req, {} if timings is None else timings)
 
 
 class TestTermCacheStore:
@@ -96,7 +105,7 @@ class TestScoping:
     def test_each_scope_starts_cold(self):
         def misses():
             with obs.collecting() as col:
-                check_program(_unit(), strict_valuable=False)
+                _request()
             return len(_cache_events(col, "cache.miss"))
 
         with unit_cache_scope():
@@ -106,54 +115,118 @@ class TestScoping:
 
     def test_nested_scope_does_not_see_outer_entries(self):
         with unit_cache_scope():
-            check_program(_unit(), strict_valuable=False)
+            _request()
             with unit_cache_scope(), obs.collecting() as col:
-                check_program(_unit(), strict_valuable=False)
+                _request()
             assert len(_cache_events(col, "cache.miss")) == 1
 
     def test_no_term_cache_disables_content_caches_too(self):
         with terms.caching(False), unit_cache_scope():
             assert not unit_caches_active()
             with obs.collecting() as col:
-                check_program(_unit(), strict_valuable=False)
+                _request()
             assert not any(e.kind.startswith("cache.")
                            for e in col.events)
 
 
-class TestCheckCache:
-    def test_structural_copies_hit(self):
-        with unit_cache_scope(), obs.collecting() as col:
-            check_program(_unit(), strict_valuable=False)
-            check_program(_unit(), strict_valuable=False)
-        assert len(_cache_events(col, "cache.miss")) == 1
-        hits = _cache_events(col, "cache.hit")
-        assert [e.fields["cache"] for e in hits] == ["check"]
-        # The check.unit span fires on the hit too: event counts are
-        # identical with and without the cache.
-        assert col.counters["check.unit"] == 2
+class TestCheckVerdict:
+    """The parse entry carries the strictness modes its program passed
+    Figure 10 in; a served repeat in one of them skips the checker."""
 
-    def test_strictness_is_part_of_the_key(self):
-        with unit_cache_scope(), obs.collecting() as col:
-            check_program(_unit(), strict_valuable=True)
-            check_program(_unit(), strict_valuable=False)
-        assert len(_cache_events(col, "cache.hit")) == 0
+    LENIENT_ONLY = ("(invoke (unit (import) (export)"
+                    " (define x (display \"hi\")) x))")
 
-    def test_failures_are_not_cached(self):
-        bad = "(unit (import) (export g) (define f 1) (void))"
+    @staticmethod
+    def _check_spans(col):
+        return [e for e in col.events if e.kind.startswith("check.")]
+
+    def test_warm_repeat_skips_check_but_still_times_it(self):
+        with unit_cache_scope():
+            with obs.collecting() as cold:
+                _request()
+            timings = {}
+            with obs.collecting() as warm:
+                assert _request(timings=timings) == ("ok", "")
+        assert cold.counters["check.unit"] == 1
+        assert not self._check_spans(warm)
+        assert warm.counters["stage.check"] == 1
+        assert "check" in timings
+        # The verdict rode on the parse lookup: no extra event.
+        assert [e.kind for e in warm.events
+                if e.kind.startswith("cache.")] == ["cache.hit"]
+
+    def test_failing_program_errors_identically_every_time(self):
+        bad = "(invoke (unit (import) (export nope) (define x 1) x))"
+        errors = []
         with unit_cache_scope(), obs.collecting() as col:
-            for _ in range(2):
-                with pytest.raises(CheckError):
-                    check_unit(_unit(bad))
-        assert len(_cache_events(col, "cache.hit")) == 0
-        assert len(_cache_events(col, "cache.miss")) == 2
+            for _ in range(3):
+                with pytest.raises(CheckError) as err:
+                    _request(bad)
+                errors.append((str(err.value), str(err.value.loc)))
+        assert len(set(errors)) == 1
+        assert col.counters["check.unit"] == 3
+        assert len(_cache_events(col, "cache.hit")) == 2  # parse only
+
+    def test_lenient_verdict_does_not_satisfy_strict(self):
+        with unit_cache_scope():
+            assert _request(self.LENIENT_ONLY, lenient=True)[0] == "ok"
+            with pytest.raises(CheckError, match="not valuable"):
+                _request(self.LENIENT_ONLY)
+            with obs.collecting() as col:
+                _request(self.LENIENT_ONLY, lenient=True)
+        assert not self._check_spans(col)
+
+    def test_libraries_bypass_the_verdict(self):
+        library = ("(define five (invoke (unit (import) (export) 5)))",
+                   "<lib>")
+        with unit_cache_scope():
+            _request()  # a verdict for the bare text
+            with obs.collecting() as col:
+                for _ in range(2):
+                    _request(libraries=[library])
+            # Each request checked both units; neither wrote a verdict
+            # the bare text could mistake for its own.
+            assert col.counters["check.unit"] == 4
+            with obs.collecting() as col:
+                _request(UNIT_SRC + " ", libraries=[library])
+                _request(UNIT_SRC + " ")
+        assert col.counters["check.unit"] == 3
+
+    def test_exhausted_check_records_no_verdict(self, monkeypatch):
+        """A check the deadline aborts must not mark the text as
+        passed, or a later healthy run would skip real premises."""
+        import time
+
+        real_check = handlers.check_program
+        entered = []
+
+        def slow_check(expr, strict_valuable):
+            entered.append(expr)
+            time.sleep(0.25)  # outlive the deadline inside the check
+            return real_check(expr, strict_valuable=strict_valuable)
+
+        with unit_cache_scope():
+            monkeypatch.setattr(handlers, "check_program", slow_check)
+            with budget_scope(Budget(deadline_s=0.2)):
+                with pytest.raises(BudgetExceeded):
+                    _request()
+            assert entered, "the deadline fired before the check ran"
+            monkeypatch.setattr(handlers, "check_program", real_check)
+            with obs.collecting() as col:
+                _request()
+            assert col.counters["check.unit"] == 1
+            # Only the completed check recorded a verdict.
+            with obs.collecting() as col:
+                _request()
+            assert not self._check_spans(col)
 
 
 class TestStoreShape:
-    def test_store_has_five_tiers(self):
+    def test_store_has_three_tiers(self):
         with unit_cache_scope() as store:
             assert sorted(store.occupancy()) == [
-                "check", "dynlink", "flatten", "link", "pycode"]
-            assert len(store.caches) == 5
+                "dynlink", "flatten", "pycode"]
+            assert len(store.caches) == 3
 
     def test_check_link_and_compile_write_nothing_to_disk(self, tmp_path):
         """Only generated pycode modules persist: checking, linking,
@@ -250,16 +323,6 @@ class TestLinkCache:
         with unit_cache_scope():
             link_and_optimize(program)
         assert not calls
-
-    def test_optimize_results_are_cached(self):
-        from repro.units.optimize import optimize_unit
-
-        with unit_cache_scope(), obs.collecting() as col:
-            first = optimize_unit(_unit())
-            second = optimize_unit(_unit())
-        assert second is first
-        hits = _cache_events(col, "cache.hit")
-        assert [e.fields["cache"] for e in hits] == ["link"]
 
 
 PROGRAM_SRC = ("(invoke (unit (import) (export)"
@@ -376,11 +439,11 @@ class TestParseCache:
 class TestReportSection:
     def test_cache_efficiency_rendered(self):
         with unit_cache_scope(), obs.collecting() as col:
-            check_program(_unit(), strict_valuable=False)
-            check_program(_unit(), strict_valuable=False)
+            _request()
+            _request()
         text = obs.render_report(col.events)
         assert "cache efficiency:" in text
-        assert "check" in text
+        assert "dynlink" in text
         assert "50.0% hit rate" in text
 
     def test_section_absent_without_cache_events(self):
@@ -413,8 +476,12 @@ class TestCLI:
         status = main(["--metrics-out", str(metrics), "demo",
                        self._write(tmp_path, self.PROGRAM)])
         assert status == 0
-        counters = json.loads(metrics.read_text())["counters"]
-        assert counters.get("cache.hit", 0) >= 1
+        snapshot = json.loads(metrics.read_text())
+        assert snapshot["counters"].get("cache.hit", 0) >= 1
+        # The second archive retrieval hits the parse (dynlink) tier,
+        # and both retrievals still run their Figure 7 check.
+        assert snapshot["histograms"]["cache.hit.dynlink"]["count"] >= 1
+        assert snapshot["counters"]["check.unit"] >= 3
 
     def test_cache_dir_flag_persists_compiles(self, tmp_path, capsys):
         from repro.cli import main
