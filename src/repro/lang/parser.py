@@ -36,7 +36,7 @@ from repro.lang.ast import (
     Var,
     seq_of,
 )
-from repro.lang.errors import ParseError, SrcLoc
+from repro.lang.errors import Loc, ParseError
 from repro.lang.sexpr import Datum, SList, Symbol, read_all_sexprs, read_sexpr
 from repro.units.ast import CompoundExpr, InvokeExpr, LinkClause, UnitExpr
 
@@ -168,7 +168,7 @@ def _parse_form(datum: SList) -> Expr:
     return _parse_app(datum)
 
 
-def _sym_name(datum: Datum, what: str, loc: SrcLoc | None) -> str:
+def _sym_name(datum: Datum, what: str, loc: Loc | None) -> str:
     if not isinstance(datum, Symbol):
         raise ParseError(f"expected {what}, got {datum!r}", loc)
     if datum.name in KEYWORDS:
@@ -284,7 +284,7 @@ def _parse_app(datum: SList) -> App:
 # Unit forms
 # ---------------------------------------------------------------------------
 
-def _parse_name_list(datum: Datum, keyword: str, loc: SrcLoc | None) -> tuple[str, ...]:
+def _parse_name_list(datum: Datum, keyword: str, loc: Loc | None) -> tuple[str, ...]:
     if not isinstance(datum, SList) or len(datum) < 1 \
             or not isinstance(datum[0], Symbol) or datum[0].name != keyword:
         raise ParseError(f"expected ({keyword} x ...)", loc)
@@ -347,7 +347,7 @@ def parse_compound(datum: SList) -> CompoundExpr:
     return CompoundExpr(imports, exports, first, second, datum.loc)
 
 
-def _parse_link_clause(datum: Datum, loc: SrcLoc | None) -> LinkClause:
+def _parse_link_clause(datum: Datum, loc: Loc | None) -> LinkClause:
     if not isinstance(datum, SList) or len(datum) != 3:
         raise ParseError("link clause: expected (e (with x ...) "
                          "(provides x ...))", loc)

@@ -12,10 +12,11 @@ language:
 * ``bool`` — ``#t`` / ``#f``,
 * ``SList`` — a parenthesized sequence of data.
 
-``SList`` and ``Symbol`` carry source locations so later phases can
-report positions.  ``write_sexpr`` prints a datum back to reader syntax;
-reading the result yields an equal datum (a property the test suite
-checks with hypothesis).
+``SList`` and ``Symbol`` carry source locations (plain ``(line, col,
+origin)`` tuples, see :data:`~repro.lang.errors.Loc`) so later phases
+can report positions.  ``write_sexpr`` prints a datum back to reader
+syntax; reading the result yields an equal datum (a property the test
+suite checks with hypothesis).
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ from dataclasses import dataclass, field
 from typing import Iterator, Sequence, Union
 
 from repro import limits as _limits
-from repro.lang.errors import LexError, SrcLoc
+from repro.lang.errors import LexError, Loc
 
 #: The datum type produced by the reader.
 Datum = Union["Symbol", "SList", int, float, str, bool]
@@ -41,7 +42,7 @@ class Symbol:
     """
 
     name: str
-    loc: SrcLoc | None = field(default=None, compare=False)
+    loc: Loc | None = field(default=None, compare=False)
 
     def __str__(self) -> str:
         return self.name
@@ -58,7 +59,7 @@ class SList:
     """
 
     items: tuple[Datum, ...]
-    loc: SrcLoc | None = field(default=None, compare=False)
+    loc: Loc | None = field(default=None, compare=False)
 
     def __len__(self) -> int:
         return len(self.items)
@@ -129,9 +130,6 @@ _STRING_BODY = re.compile(_BODY, re.DOTALL)
 _ESCAPE = re.compile(r"\\(.)", re.DOTALL)
 _ESCAPES = {"n": "\n", "t": "\t", "r": "\r", '"': '"', "\\": "\\"}
 
-# Builds a SrcLoc without the named tuple's Python-level ``__new__``.
-_new_loc = tuple.__new__
-
 
 def _token_start(m: re.Match) -> int:
     """The offset of token ``m``'s first character.
@@ -142,13 +140,13 @@ def _token_start(m: re.Match) -> int:
     return m.start(kind) - (kind == _STRING or kind == _BOOL)
 
 
-def _loc_at(text: str, pos: int, origin: str) -> SrcLoc:
+def _loc_at(text: str, pos: int, origin: str) -> Loc:
     """The location of offset ``pos``, counted from the start (errors)."""
     line_start = text.rfind("\n", 0, pos) + 1
-    return SrcLoc(text.count("\n", 0, pos) + 1, pos - line_start + 1, origin)
+    return (text.count("\n", 0, pos) + 1, pos - line_start + 1, origin)
 
 
-def _unescape(body: str, loc: SrcLoc) -> str:
+def _unescape(body: str, loc: Loc) -> str:
     """Resolve the escapes of a string body; the first unknown one raises."""
 
     def resolve(match: re.Match) -> str:
@@ -204,7 +202,7 @@ class _Scanner:
             self.text, self.origin, self.budget, self.tokens
         line, line_start, next_newline = \
             self.line, self.line_start, self.next_newline
-        stack: list[tuple[list[Datum], SrcLoc, int]] = []
+        stack: list[tuple[list[Datum], Loc, int]] = []
         items: list[Datum] = []
         while True:
             kind = m.lastindex
@@ -216,7 +214,7 @@ class _Scanner:
                     next_newline = text.find("\n", start)
                     if next_newline < 0:
                         next_newline = len(text)
-                loc = _new_loc(SrcLoc, (line, start - line_start + 1, origin))
+                loc = (line, start - line_start + 1, origin)
                 if kind == _SYMBOL:
                     datum: Datum = Symbol(m.group(kind), loc)
                 else:

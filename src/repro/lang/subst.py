@@ -87,7 +87,7 @@ def fresh_like(base: str, avoid: set[str]) -> str:
 def free_vars(expr: Expr) -> frozenset[str]:
     """The free variables of an expression (memoized per node)."""
     if _terms._enabled:
-        cached = expr.__dict__.get("_fv")
+        cached = getattr(expr, "_fv", None)
         if cached is not None:
             return cached
         out = _free_vars(expr)

@@ -1,4 +1,4 @@
-"""Hash-consing and content addressing for term syntax.
+"""Content addressing and memo control for term syntax.
 
 The rewriting semantics re-walks whole terms constantly: ``invoke``
 substitutes values for imports, ``compound`` alpha-renames two units
@@ -11,9 +11,6 @@ the rest of the pipeline exploit that:
 * :func:`term_key` — a stable content digest of a term's *structure*
   (source locations excluded, exactly like dataclass equality), the
   key of every content-addressed cache in :mod:`repro.units.cache`;
-* :func:`intern` — hash-consing: structurally identical terms collapse
-  to one shared node, so per-node memo fields (free-variable sets,
-  digests) are computed once per structure rather than once per copy;
 * the **caching switch** — ``set_caching``/:func:`caching_enabled`
   and the ``REPRO_NO_TERM_CACHE`` environment variable, the
   ``--no-term-cache`` escape hatch that forces the unmemoized path for
@@ -24,6 +21,9 @@ nodes themselves (``_fv`` for free variables, ``_tk`` for the digest).
 They never appear in ``==``/``repr`` (dataclasses compare declared
 fields only) and they are valid for the node's whole lifetime because
 nodes are immutable — there is no invalidation problem to solve.
+Memos are read with ``getattr(node, name, None)``, never through
+``node.__dict__``: touching ``__dict__`` materialises a separate dict
+object per node, one more object for the garbage collector to trace.
 """
 
 from __future__ import annotations
@@ -60,7 +60,7 @@ _enabled = os.environ.get("REPRO_NO_TERM_CACHE", "") in ("", "0")
 
 
 def caching_enabled() -> bool:
-    """Is the term-performance layer (memos, interning) active?"""
+    """Is the term-performance layer (memo fields) active?"""
     return _enabled
 
 
@@ -114,7 +114,7 @@ def term_key(expr: Expr) -> str:
     same as the original.  Raises :class:`Unkeyable` for terms holding
     non-literal run-time data.
     """
-    cached = expr.__dict__.get("_tk")
+    cached = getattr(expr, "_tk", None)
     if cached is not None:
         return cached
     h = hashlib.blake2b(digest_size=16)
@@ -225,46 +225,3 @@ def _feed(expr: Expr, h) -> None:
         return
     raise TypeError(f"term_key: unknown expression {expr!r}")
 
-
-# ---------------------------------------------------------------------------
-# Hash-consing
-# ---------------------------------------------------------------------------
-
-#: Interned canonical nodes, keyed by digest.  Bounded: a long-running
-#: process (the REPL, a bench sweep) must not leak every term it ever
-#: saw, so the table is dropped wholesale when it outgrows the bound —
-#: interning is an optimization, never a correctness requirement.
-_INTERN_LIMIT = 8192
-_interned: dict[str, Expr] = {}
-
-
-def intern(expr: Expr) -> Expr:
-    """Return the canonical node for ``expr``'s structure.
-
-    The first term of a given structure becomes canonical; later
-    structurally equal terms return the canonical node, sharing its
-    memoized free-variable set and digest.  Unkeyable terms (and all
-    terms when caching is off) pass through unchanged.
-    """
-    if not _enabled:
-        return expr
-    key = try_term_key(expr)
-    if key is None:
-        return expr
-    found = _interned.get(key)
-    if found is not None:
-        return found
-    if len(_interned) >= _INTERN_LIMIT:
-        _interned.clear()
-    _interned[key] = expr
-    return expr
-
-
-def interned_count() -> int:
-    """How many canonical nodes the intern table currently holds."""
-    return len(_interned)
-
-
-def clear_intern_table() -> None:
-    """Drop all canonical nodes (tests and bench isolation)."""
-    _interned.clear()

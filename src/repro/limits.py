@@ -57,7 +57,7 @@ from contextlib import ExitStack, contextmanager
 from contextvars import ContextVar
 from typing import Iterator
 
-from repro.lang.errors import ResourceError, SrcLoc
+from repro.lang.errors import Loc, ResourceError, format_loc
 from repro.obs import current as _obs_current
 
 #: Resource identifiers, as they appear in ``BudgetExceeded.resource``,
@@ -94,7 +94,7 @@ class BudgetExceeded(ResourceError):
     """
 
     def __init__(self, resource: str, limit: object, used: object,
-                 loc: SrcLoc | None = None):
+                 loc: Loc | None = None):
         self.resource = resource
         self.limit = limit
         self.used = used
@@ -141,14 +141,14 @@ class Budget:
     # -- exhaustion -----------------------------------------------------
 
     def _exhaust(self, resource: str, limit: object, used: object,
-                 loc: SrcLoc | None = None) -> None:
+                 loc: Loc | None = None) -> None:
         """Trace the exhaustion and raise :class:`BudgetExceeded`."""
         col = _obs_current()
         if col is not None:
             fields: dict[str, object] = {
                 "resource": resource, "limit": limit, "used": used}
             if loc is not None:
-                fields["loc"] = str(loc)
+                fields["loc"] = format_loc(loc)
             col.emit("limit.exceeded", fields)
         raise BudgetExceeded(resource, limit, used, loc)
 
@@ -187,7 +187,7 @@ class Budget:
             self._exhaust("subst_nodes", limit, used,
                           getattr(expr, "loc", None))
 
-    def charge_expand(self, loc: SrcLoc | None = None) -> None:
+    def charge_expand(self, loc: Loc | None = None) -> None:
         """One abbreviation unfolding during type expansion."""
         used = self.used_expand + 1
         self.used_expand = used
@@ -197,7 +197,7 @@ class Budget:
 
     # -- the depth gauge ------------------------------------------------
 
-    def enter_frame(self, loc: SrcLoc | None = None) -> None:
+    def enter_frame(self, loc: Loc | None = None) -> None:
         """Enter one level of governed recursion (interpreter frames)."""
         depth = self.depth + 1
         self.depth = depth
@@ -213,7 +213,7 @@ class Budget:
         """Leave one level of governed recursion."""
         self.depth -= 1
 
-    def check_depth(self, depth: int, loc: SrcLoc | None = None) -> bool:
+    def check_depth(self, depth: int, loc: Loc | None = None) -> bool:
         """Gauge an externally tracked depth (the reader's nesting).
 
         Returns ``True`` when this budget governs depth at all, so the
@@ -235,7 +235,7 @@ class Budget:
         if self.deadline_s is not None and self._deadline_at is None:
             self._deadline_at = time.monotonic() + self.deadline_s
 
-    def check_deadline(self, loc: SrcLoc | None = None) -> None:
+    def check_deadline(self, loc: Loc | None = None) -> None:
         """Raise when the wall-clock deadline has passed."""
         at = self._deadline_at
         if at is not None and time.monotonic() > at:

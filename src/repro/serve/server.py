@@ -38,9 +38,11 @@ out of order (a per-connection write lock keeps the frames intact).
 from __future__ import annotations
 
 import asyncio
+import gc
 import json
 import signal
 import threading
+import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
@@ -49,6 +51,83 @@ from repro import obs
 from repro.serve import protocol as _protocol
 from repro.serve.handlers import execute_request
 from repro.units.cache import CacheStore
+
+
+#: The served process's cyclic-collector thresholds.  A request keeps
+#: thousands of container objects alive while it runs (its parsed AST,
+#: link graph and generated code).  At CPython's default gen-0
+#: threshold of 700 they outlive several young collections and are
+#: promoted into the oldest generation, and each full collection then
+#: traces the whole long-lived cache.  A young generation of 20 000
+#: lets most of them die young.
+SERVE_GC_THRESHOLD = (20_000, 10, 10)
+
+
+class _FullCollectionTimer:
+    """A ``gc.callbacks`` probe that times every gen-2 collection."""
+
+    def __init__(self) -> None:
+        self.total_s = 0.0
+        self.max_s = 0.0
+        self._started = 0.0
+
+    def __call__(self, phase: str, info: dict[str, int]) -> None:
+        if info["generation"] != 2:
+            return
+        if phase == "start":
+            self._started = time.perf_counter()
+            return
+        pause = time.perf_counter() - self._started
+        self.total_s += pause
+        self.max_s = max(self.max_s, pause)
+
+
+#: Collections are process-wide, so is their timer.
+_full_collections = _FullCollectionTimer()
+
+
+def configure_serving_gc() -> None:
+    """Size the young generation to a request and time full collections.
+
+    ``repro serve`` and every worker process call this once at startup;
+    in-process servers (tests, the load generator) keep the host's
+    settings.
+    """
+    gc.set_threshold(*SERVE_GC_THRESHOLD)
+    if _full_collections not in gc.callbacks:
+        gc.callbacks.append(_full_collections)
+
+
+def gc_stats() -> dict[str, object]:
+    """This process's ``gc`` block for the ``stats`` op.
+
+    Pause times are ``None`` unless :func:`configure_serving_gc` ran,
+    since only then is there a probe to have measured them.
+    """
+    timed = _full_collections in gc.callbacks
+    return {
+        "collections": [gen["collections"] for gen in gc.get_stats()],
+        "gen2_pause_total_s":
+            _full_collections.total_s if timed else None,
+        "gen2_pause_max_s": _full_collections.max_s if timed else None,
+        "threshold": list(gc.get_threshold()),
+    }
+
+
+def _sum_gc_stats(per_worker: list[dict[str, object]]) -> dict[str, object]:
+    """One ``gc`` block for a worker pool: counts and pause totals summed,
+    the longest pause kept, and each worker's threshold listed."""
+    blocks = [entry["gc"] for entry in per_worker]
+    return {
+        "collections": [sum(counts) for counts in
+                        zip(*(block["collections"] for block in blocks))],
+        "gen2_pause_total_s":
+            sum(block["gen2_pause_total_s"] for block in blocks),
+        "gen2_pause_max_s":
+            max((block["gen2_pause_max_s"] for block in blocks), default=0.0),
+        "threshold": list(gc.get_threshold()),
+        "worker_thresholds": [block["threshold"] for block in blocks],
+    }
 
 
 @dataclass
@@ -273,7 +352,8 @@ class LinkServer:
                 request_id, occupancy=self.store.occupancy(),
                 inflight=self._active,
                 workers={"mode": "threads",
-                         "workers": self.config.workers})
+                         "workers": self.config.workers},
+                gc=gc_stats())
         if op == "flush":
             self.store.clear()
             return _protocol.ok_response(request_id, value="flushed")
@@ -298,8 +378,8 @@ class LinkServer:
                            self._workers.broadcast("invalidate",
                                                    req["digest"]))
             return _protocol.ok_response(request_id, removed=removed)
-        # op == "stats": per-worker occupancy summed per tier, plus
-        # the pool's death/respawn bookkeeping.
+        # op == "stats": per-worker occupancy and collector counts
+        # summed, plus the pool's death/respawn bookkeeping.
         per_worker = self._workers.broadcast("stats")
         occupancy: dict[str, int] = {}
         for entry in per_worker:
@@ -309,7 +389,7 @@ class LinkServer:
         info["per_worker"] = per_worker
         return _protocol.ok_response(
             request_id, occupancy=occupancy, inflight=self._active,
-            workers=info)
+            workers=info, gc=_sum_gc_stats(per_worker))
 
     async def _send(self, writer: asyncio.StreamWriter,
                     write_lock: asyncio.Lock,
@@ -325,6 +405,7 @@ class LinkServer:
 
 def run_server(config: ServeConfig) -> int:
     """Blocking entry point for ``repro serve``."""
+    configure_serving_gc()
 
     async def main() -> None:
         server = LinkServer(config)

@@ -101,8 +101,10 @@ def _worker_main(conn, config: "ServeConfig") -> None:
     from repro.obs.metrics import MetricsRegistry
     from repro.serve import chaos as _chaos
     from repro.serve.handlers import execute_request
+    from repro.serve.server import configure_serving_gc, gc_stats
     from repro.units.cache import CacheStore
 
+    configure_serving_gc()
     _chaos.mark_worker_process()
     store = CacheStore(config.cache_dir, ttl_s=config.ttl_s)
     registry = MetricsRegistry()
@@ -123,7 +125,8 @@ def _worker_main(conn, config: "ServeConfig") -> None:
                 result = store.invalidate(arg)
             else:  # op == "stats"
                 result = {"pid": os.getpid(),
-                          "occupancy": store.occupancy()}
+                          "occupancy": store.occupancy(),
+                          "gc": gc_stats()}
             conn.send(("ok", result))
             continue
         req = msg[1]

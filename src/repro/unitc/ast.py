@@ -16,7 +16,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.lang.errors import SrcLoc
+from repro.lang.ast import reserve_memo_names
+from repro.lang.errors import Loc
 from repro.types.kinds import Kind
 from repro.types.types import Type
 
@@ -25,13 +26,20 @@ from repro.types.types import Type
 class TExpr:
     """Base class of typed expressions."""
 
+    #: The free value variables (:mod:`repro.unitc.subst`).
+    _memos = ("_fvv",)
+
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        reserve_memo_names(cls)
+
 
 @dataclass(frozen=True)
 class TLit(TExpr):
     """A literal: int, str, bool, or void (None)."""
 
     value: object
-    loc: SrcLoc | None = field(default=None, compare=False)
+    loc: Loc | None = field(default=None, compare=False)
 
 
 @dataclass(frozen=True)
@@ -39,7 +47,7 @@ class TVar(TExpr):
     """A variable reference."""
 
     name: str
-    loc: SrcLoc | None = field(default=None, compare=False)
+    loc: Loc | None = field(default=None, compare=False)
 
 
 @dataclass(frozen=True)
@@ -48,7 +56,7 @@ class TLambda(TExpr):
 
     params: tuple[tuple[str, Type], ...]
     body: TExpr
-    loc: SrcLoc | None = field(default=None, compare=False)
+    loc: Loc | None = field(default=None, compare=False)
 
 
 @dataclass(frozen=True)
@@ -57,7 +65,7 @@ class TApp(TExpr):
 
     fn: TExpr
     args: tuple[TExpr, ...]
-    loc: SrcLoc | None = field(default=None, compare=False)
+    loc: Loc | None = field(default=None, compare=False)
 
 
 @dataclass(frozen=True)
@@ -67,7 +75,7 @@ class TIf(TExpr):
     test: TExpr
     then: TExpr
     orelse: TExpr
-    loc: SrcLoc | None = field(default=None, compare=False)
+    loc: Loc | None = field(default=None, compare=False)
 
 
 @dataclass(frozen=True)
@@ -76,7 +84,7 @@ class TLet(TExpr):
 
     bindings: tuple[tuple[str, TExpr], ...]
     body: TExpr
-    loc: SrcLoc | None = field(default=None, compare=False)
+    loc: Loc | None = field(default=None, compare=False)
 
 
 @dataclass(frozen=True)
@@ -85,7 +93,7 @@ class TLetrec(TExpr):
 
     bindings: tuple[tuple[str, Type, TExpr], ...]
     body: TExpr
-    loc: SrcLoc | None = field(default=None, compare=False)
+    loc: Loc | None = field(default=None, compare=False)
 
 
 @dataclass(frozen=True)
@@ -93,7 +101,7 @@ class TSeq(TExpr):
     """Sequencing; the type is the last expression's type."""
 
     exprs: tuple[TExpr, ...]
-    loc: SrcLoc | None = field(default=None, compare=False)
+    loc: Loc | None = field(default=None, compare=False)
 
 
 @dataclass(frozen=True)
@@ -102,7 +110,7 @@ class TSet(TExpr):
 
     name: str
     expr: TExpr
-    loc: SrcLoc | None = field(default=None, compare=False)
+    loc: Loc | None = field(default=None, compare=False)
 
 
 @dataclass(frozen=True)
@@ -110,7 +118,7 @@ class TTuple(TExpr):
     """Tuple construction; type is the product of component types."""
 
     exprs: tuple[TExpr, ...]
-    loc: SrcLoc | None = field(default=None, compare=False)
+    loc: Loc | None = field(default=None, compare=False)
 
 
 @dataclass(frozen=True)
@@ -119,7 +127,7 @@ class TProj(TExpr):
 
     index: int
     expr: TExpr
-    loc: SrcLoc | None = field(default=None, compare=False)
+    loc: Loc | None = field(default=None, compare=False)
 
 
 @dataclass(frozen=True)
@@ -127,7 +135,7 @@ class TBox(TExpr):
     """Allocate a reference cell: ``(box e)``."""
 
     expr: TExpr
-    loc: SrcLoc | None = field(default=None, compare=False)
+    loc: Loc | None = field(default=None, compare=False)
 
 
 @dataclass(frozen=True)
@@ -135,7 +143,7 @@ class TUnbox(TExpr):
     """Read a reference cell: ``(unbox e)``."""
 
     expr: TExpr
-    loc: SrcLoc | None = field(default=None, compare=False)
+    loc: Loc | None = field(default=None, compare=False)
 
 
 @dataclass(frozen=True)
@@ -144,7 +152,7 @@ class TSetBox(TExpr):
 
     box: TExpr
     expr: TExpr
-    loc: SrcLoc | None = field(default=None, compare=False)
+    loc: Loc | None = field(default=None, compare=False)
 
 
 # ---------------------------------------------------------------------------
@@ -174,7 +182,7 @@ class DatatypeDefn:
     dtor2: str
     ty2: Type
     pred: str
-    loc: SrcLoc | None = field(default=None, compare=False)
+    loc: Loc | None = field(default=None, compare=False)
 
     @property
     def value_names(self) -> tuple[str, ...]:
@@ -189,7 +197,7 @@ class TypeEqn:
     name: str
     kind: Kind
     rhs: Type
-    loc: SrcLoc | None = field(default=None, compare=False)
+    loc: Loc | None = field(default=None, compare=False)
 
 
 # ---------------------------------------------------------------------------
@@ -215,7 +223,7 @@ class TypedUnitExpr(TExpr):
     equations: tuple[TypeEqn, ...]
     defns: tuple[tuple[str, Type, TExpr], ...]
     init: TExpr
-    loc: SrcLoc | None = field(default=None, compare=False)
+    loc: Loc | None = field(default=None, compare=False)
 
     @property
     def defined_types(self) -> tuple[str, ...]:
@@ -242,7 +250,7 @@ class TypedLinkClause:
     with_values: tuple[tuple[str, Type], ...]
     prov_types: tuple[tuple[str, Kind], ...]
     prov_values: tuple[tuple[str, Type], ...]
-    loc: SrcLoc | None = field(default=None, compare=False)
+    loc: Loc | None = field(default=None, compare=False)
 
 
 @dataclass(frozen=True)
@@ -255,7 +263,7 @@ class TypedCompoundExpr(TExpr):
     vexports: tuple[tuple[str, Type], ...]
     first: TypedLinkClause
     second: TypedLinkClause
-    loc: SrcLoc | None = field(default=None, compare=False)
+    loc: Loc | None = field(default=None, compare=False)
 
 
 @dataclass(frozen=True)
@@ -270,4 +278,4 @@ class TypedInvokeExpr(TExpr):
     expr: TExpr
     tlinks: tuple[tuple[str, Type], ...]
     vlinks: tuple[tuple[str, TExpr], ...]
-    loc: SrcLoc | None = field(default=None, compare=False)
+    loc: Loc | None = field(default=None, compare=False)

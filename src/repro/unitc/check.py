@@ -32,7 +32,7 @@ is deterministic."
 
 from __future__ import annotations
 
-from repro.lang.errors import TypeCheckError
+from repro.lang.errors import TypeCheckError, format_loc
 from repro.obs import current as _obs_current
 from repro.obs import span as _obs_span
 from repro.types.kinds import OMEGA, kind_equal
@@ -330,7 +330,7 @@ def _require_distinct(names, what: str, loc=None) -> None:
 def _loc_fields(loc, **fields: object) -> dict[str, object]:
     """Span payload with the reader source location, when known."""
     if loc is not None:
-        fields["loc"] = str(loc)
+        fields["loc"] = format_loc(loc)
     return fields
 
 

@@ -26,7 +26,7 @@
 
 from __future__ import annotations
 
-from repro.lang.errors import ParseError, SrcLoc
+from repro.lang.errors import Loc, ParseError
 from repro.lang.sexpr import Datum, SList, Symbol, read_sexpr
 from repro.types.kinds import Kind, OMEGA
 from repro.types.parser import parse_decls, parse_kind, parse_type
@@ -98,7 +98,7 @@ def _head(datum: SList) -> str | None:
     return None
 
 
-def _sym(datum: Datum, what: str, loc: SrcLoc | None) -> str:
+def _sym(datum: Datum, what: str, loc: Loc | None) -> str:
     if not isinstance(datum, Symbol):
         raise ParseError(f"expected {what}", loc)
     if datum.name in KEYWORDS:
@@ -347,7 +347,7 @@ def parse_typed_compound(datum: SList) -> TypedCompoundExpr:
                              first, second, datum.loc)
 
 
-def _parse_typed_clause(datum: Datum, loc: SrcLoc | None) -> TypedLinkClause:
+def _parse_typed_clause(datum: Datum, loc: Loc | None) -> TypedLinkClause:
     if not isinstance(datum, SList) or len(datum) != 3:
         raise ParseError(
             "link clause: expected (e (with decl ...) (provides decl ...))",

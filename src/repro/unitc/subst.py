@@ -77,7 +77,7 @@ def free_value_vars(expr: TExpr) -> frozenset[str]:
     operations each datatype introduces).
     """
     if _terms._enabled:
-        cached = expr.__dict__.get("_fvv")
+        cached = getattr(expr, "_fvv", None)
         if cached is not None:
             return cached
         out = _free_value_vars(expr)

@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro.lang.ast import Expr
-from repro.lang.errors import SrcLoc
+from repro.lang.errors import Loc
 
 
 @dataclass(frozen=True)
@@ -37,14 +37,16 @@ class UnitExpr(Expr):
     exports: tuple[str, ...]
     defns: tuple[tuple[str, Expr], ...]
     init: Expr
-    loc: SrcLoc | None = field(default=None, compare=False)
+    loc: Loc | None = field(default=None, compare=False)
+
+    _memos = (*Expr._memos, "_defined")
 
     @property
     def defined(self) -> tuple[str, ...]:
         """The variables defined by this unit, in definition order."""
         # Memoized on the frozen instance: the optimizer and linker
         # consult this on every pass, and defns never mutates.
-        cached = self.__dict__.get("_defined")
+        cached = getattr(self, "_defined", None)
         if cached is None:
             cached = tuple(name for name, _ in self.defns)
             object.__setattr__(self, "_defined", cached)
@@ -62,7 +64,7 @@ class LinkClause:
     expr: Expr
     withs: tuple[str, ...]
     provides: tuple[str, ...]
-    loc: SrcLoc | None = field(default=None, compare=False)
+    loc: Loc | None = field(default=None, compare=False)
 
 
 @dataclass(frozen=True)
@@ -81,7 +83,7 @@ class CompoundExpr(Expr):
     exports: tuple[str, ...]
     first: LinkClause
     second: LinkClause
-    loc: SrcLoc | None = field(default=None, compare=False)
+    loc: Loc | None = field(default=None, compare=False)
 
 
 @dataclass(frozen=True)
@@ -95,7 +97,7 @@ class InvokeExpr(Expr):
 
     expr: Expr
     links: tuple[tuple[str, Expr], ...]
-    loc: SrcLoc | None = field(default=None, compare=False)
+    loc: Loc | None = field(default=None, compare=False)
 
 
 def unit_children(expr: Expr) -> tuple[Expr, ...]:

@@ -31,7 +31,7 @@ from repro.lang.ast import (
     SetBang,
     Var,
 )
-from repro.lang.errors import CheckError
+from repro.lang.errors import CheckError, format_loc
 from repro.obs import span as _obs_span
 from repro.units.ast import CompoundExpr, InvokeExpr, UnitExpr
 from repro.units.valuable import is_valuable
@@ -42,7 +42,7 @@ def _span_fields(expr: Expr, **fields: object) -> dict[str, object]:
     carries one (``repro trace report`` prints it for failures)."""
     loc = getattr(expr, "loc", None)
     if loc is not None:
-        fields["loc"] = str(loc)
+        fields["loc"] = format_loc(loc)
     return fields
 
 

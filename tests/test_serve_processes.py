@@ -20,19 +20,27 @@ Also covered here:
   ``WorkerCrashed`` on process servers and is inert by design on the
   thread server (there is no process to lose);
 * control-op parity: ``stats``/``flush``/``invalidate`` answer with
-  the same shapes in both modes (plus the ``workers`` descriptor).
+  the same shapes in both modes (plus the ``workers`` descriptor);
+* collector telemetry: ``stats`` carries a ``gc`` block, and a
+  spawned ``repro serve`` and every worker process run with the
+  serving collector thresholds.
 """
 
 from __future__ import annotations
 
+import gc
 import os
+import signal
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import repro
 from repro.lang.sexpr import read_sexpr, write_sexpr
 from repro.obs import MetricsRegistry
-from repro.serve.client import ServeClient, exit_code_for
+from repro.serve.client import ServeClient, exit_code_for, read_port_file
 from repro.serve.server import ServeConfig, ServerThread
 from tests.test_corpus import CASES
 
@@ -273,3 +281,73 @@ class TestProcessModeControlOps:
             with ServeClient(st.host, st.port) as client:
                 workers = client.request("stats")["workers"]
         assert workers == {"mode": "threads", "workers": 3}
+
+
+SERVING_THRESHOLD = [20_000, 10, 10]
+
+
+def _assert_gc_block(block: dict, threshold: list[int]) -> None:
+    assert block["threshold"] == threshold
+    assert len(block["collections"]) == 3
+    assert all(isinstance(n, int) and n >= 0
+               for n in block["collections"])
+    assert block["gen2_pause_total_s"] >= block["gen2_pause_max_s"] >= 0
+
+
+class TestGcTelemetry:
+    def test_spawned_server_runs_serving_thresholds(self, tmp_path):
+        port_file = tmp_path / "port"
+        src = str(Path(repro.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, (src, os.environ.get("PYTHONPATH")))))
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "repro", "serve", "--port-file",
+             str(port_file), "--workers", "2"],
+            env=env, stdout=subprocess.PIPE, stderr=subprocess.STDOUT,
+            text=True)
+        try:
+            port = read_port_file(port_file, timeout_s=60)
+            with ServeClient("127.0.0.1", port, timeout_s=60) as client:
+                assert client.request("run", source=GREET)["value"] == "42"
+                block = client.request("stats")["gc"]
+        finally:
+            proc.send_signal(signal.SIGTERM)
+            try:
+                out, _ = proc.communicate(timeout=60)
+            except subprocess.TimeoutExpired:
+                proc.kill()
+                out, _ = proc.communicate()
+        assert proc.returncode == 0, out
+        _assert_gc_block(block, SERVING_THRESHOLD)
+
+    def test_workers_run_serving_thresholds_and_sum_counts(self, tmp_path):
+        config = ServeConfig(processes=2, cache_dir=str(tmp_path),
+                             default_deadline_s=60.0)
+        with ServerThread(config) as st:
+            with ServeClient(st.host, st.port,
+                             timeout_s=120.0) as client:
+                client.request("run", source=GREET)
+                stats = client.request("stats")
+        block = stats["gc"]
+        per_worker = [entry["gc"] for entry in stats["workers"]["per_worker"]]
+        assert len(per_worker) == 2
+        for worker in per_worker:
+            _assert_gc_block(worker, SERVING_THRESHOLD)
+        assert block["worker_thresholds"] == [SERVING_THRESHOLD] * 2
+        # The in-process acceptor keeps the host's settings.
+        _assert_gc_block(block, list(gc.get_threshold()))
+        assert block["collections"] == [
+            sum(counts) for counts in
+            zip(*(worker["collections"] for worker in per_worker))]
+        assert block["gen2_pause_total_s"] == pytest.approx(
+            sum(worker["gen2_pause_total_s"] for worker in per_worker))
+        assert block["gen2_pause_max_s"] == max(
+            worker["gen2_pause_max_s"] for worker in per_worker)
+
+    def test_in_process_thread_server_keeps_host_gc(self):
+        with ServerThread(ServeConfig(workers=2)) as st:
+            with ServeClient(st.host, st.port) as client:
+                block = client.request("stats")["gc"]
+        assert block["threshold"] == list(gc.get_threshold())
+        assert block["gen2_pause_total_s"] is None
+        assert block["gen2_pause_max_s"] is None

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import example, given, strategies as st
 
 from repro.lang.ast import Lit
-from repro.lang.errors import LexError
+from repro.lang.errors import LexError, SrcLoc
 from repro.lang.pretty import show
 from repro.lang.sexpr import (
     MAX_NESTING_DEPTH,
@@ -298,17 +298,19 @@ class TestNoRecursion:
 class TestLocations:
     def test_symbol_location(self):
         datum = read_sexpr("(a\n  b)")
-        b = datum.items[1]
-        assert b.loc.line == 2
-        assert b.loc.col == 3
+        loc = SrcLoc._make(datum.items[1].loc)
+        assert loc.line == 2
+        assert loc.col == 3
 
     def test_symbol_after_multiline_string(self):
         datum = read_sexpr('(a "x\ny\n z" sym)')
-        assert (datum[2].loc.line, datum[2].loc.col) == (3, 5)
+        loc = SrcLoc._make(datum[2].loc)
+        assert (loc.line, loc.col) == (3, 5)
 
     def test_crlf_columns(self):
         datum = read_sexpr("(a\r\n  b)")
-        assert (datum[1].loc.line, datum[1].loc.col) == (2, 3)
+        loc = SrcLoc._make(datum[1].loc)
+        assert (loc.line, loc.col) == (2, 3)
 
     def test_locations_ignored_by_equality(self):
         assert read_sexpr("(a b)") == read_sexpr("  (a   b)")
@@ -390,6 +392,7 @@ def _splice_points(text):
 
 
 def _offset(text, loc):
+    loc = SrcLoc._make(loc)
     lines = text.split("\n")
     return sum(len(line) + 1 for line in lines[:loc.line - 1]) + loc.col - 1
 

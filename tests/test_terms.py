@@ -74,27 +74,6 @@ class TestTermKey:
         assert plain == keyed
 
 
-class TestIntern:
-    def setup_method(self):
-        terms.clear_intern_table()
-
-    def test_structural_copies_collapse_to_one_node(self):
-        first = terms.intern(parse_program(UNIT_SRC))
-        second = terms.intern(parse_program(UNIT_SRC))
-        assert second is first
-        assert terms.interned_count() == 1
-
-    def test_interning_passes_through_when_disabled(self):
-        with terms.caching(False):
-            expr = parse_program(UNIT_SRC)
-            assert terms.intern(expr) is expr
-            assert terms.interned_count() == 0
-
-    def test_unkeyable_terms_pass_through(self):
-        state = App(Var("f"), (Lit(object()),))
-        assert terms.intern(state) is state
-
-
 class TestCachingSwitch:
     def test_set_returns_previous(self):
         prev = terms.set_caching(False)
