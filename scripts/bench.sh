@@ -5,8 +5,8 @@
 #   scripts/bench.sh --quick    # two small cases, one repeat (CI smoke)
 #
 # Runs `repro bench`, writing BENCH_results.json at the repository root
-# and a cache-counters snapshot under benchmarks/.metrics/ (the format
-# `repro trace diff` reads).  Commit both when recording a new
+# and a cache-counters snapshot under benchmarks/.metrics/ (the metrics1
+# format `repro metrics diff` reads).  Commit both when recording a new
 # trajectory point; docs/PERFORMANCE.md explains how to read them.
 set -eu
 

@@ -40,8 +40,8 @@ p50/p90/p99 latency with its sample count over all repeats (via
 shares), and the speedups ``uncached / cached`` and ``uncached /
 warm``.  Results go to ``BENCH_results.json``; a ``metrics1`` snapshot
 (``--snapshot``) records the ``cache.*`` hit/miss activity and
-per-kind latency histograms in the format ``repro trace diff`` and
-``repro metrics`` read.  docs/PERFORMANCE.md explains how to read
+per-kind latency histograms in the format ``repro metrics
+report|diff`` read.  docs/PERFORMANCE.md explains how to read
 both.
 """
 

@@ -18,8 +18,6 @@ see docs/TRACING.md)::
 
     python -m repro trace report T.jsonl         # span tree, critical
                                                  # path, self-time ranks
-    python -m repro trace diff BASE CUR          # per-kind count deltas;
-                                                 # exits 1 past --threshold
     python -m repro trace flame T.jsonl          # collapsed stacks for
                                                  # flamegraph tools
 
@@ -201,24 +199,6 @@ def cmd_trace_report(args: argparse.Namespace) -> int:
                   f"{args.min_spans}", file=sys.stderr)
             return 1
     return 0
-
-
-def cmd_trace_diff(args: argparse.Namespace) -> int:
-    """Diff per-kind event counts between two traces or metrics files;
-    exit nonzero when a count regresses past the threshold."""
-    from repro import obs
-
-    try:
-        base = obs.load_counts(args.base)
-        cur = obs.load_counts(args.current)
-    except ValueError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return 2
-    deltas = obs.diff_counts(base, cur)
-    text, failed = obs.render_diff(deltas, args.threshold,
-                                   strict=args.strict)
-    print(text)
-    return 1 if failed else 0
 
 
 def cmd_trace_flame(args: argparse.Namespace) -> int:
@@ -549,7 +529,7 @@ def cmd_serve(args: argparse.Namespace) -> int:
         default_deadline_s=args.deadline,
         max_deadline_s=args.max_deadline,
         cache_dir=args.cache_dir or os.environ.get("REPRO_CACHE_DIR"),
-        ttl_s=args.ttl, allow_chaos=args.allow_chaos,
+        allow_chaos=args.allow_chaos,
         port_file=args.port_file)
     return run_server(config)
 
@@ -697,17 +677,6 @@ def build_parser() -> argparse.ArgumentParser:
                         help="fail unless the trace holds at least this "
                              "many spans (CI smoke gate)")
     report.set_defaults(fn=cmd_trace_report)
-    diff = tsub.add_parser(
-        "diff", help="per-kind event-count deltas between two traces "
-                     "or metrics files; nonzero exit on regression")
-    diff.add_argument("base", help="baseline trace JSONL or metrics JSON")
-    diff.add_argument("current", help="current trace JSONL or metrics JSON")
-    diff.add_argument("--threshold", type=float, default=0.10,
-                      help="relative growth tolerated per kind "
-                           "(0.10 = 10%%)")
-    diff.add_argument("--strict", action="store_true",
-                      help="also fail when kinds appear or vanish")
-    diff.set_defaults(fn=cmd_trace_diff)
     flame = tsub.add_parser(
         "flame", help="collapsed stacks (flamegraph.pl/speedscope input) "
                       "from a recorded trace")
@@ -806,7 +775,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="where to write the results JSON")
     bench.add_argument("--snapshot", metavar="FILE", default=None,
                        help="also write a counters snapshot (with "
-                            "cache.* activity) usable by 'trace diff'")
+                            "cache.* activity) usable by 'metrics diff'")
     bench.add_argument("--backend", choices=("interp", "pycode"),
                        default="pycode",
                        help="evaluator of the benched run requests "
@@ -849,9 +818,6 @@ def build_parser() -> argparse.ArgumentParser:
                             "(seconds)")
     serve.add_argument("--max-deadline", type=float, default=60.0,
                        help="ceiling on request-supplied deadlines")
-    serve.add_argument("--ttl", type=float, default=None,
-                       help="expire shared-store entries older than this "
-                            "many seconds")
     serve.add_argument("--allow-chaos", action="store_true",
                        help="honor request-carried fault injection "
                             "(tests/CI only)")
@@ -953,14 +919,14 @@ def _run_observed(args: argparse.Namespace) -> int:
     return status
 
 
-_TRACE_TOOLS = ("steps", "report", "diff", "flame")
+_TRACE_TOOLS = ("steps", "report", "flame")
 _VALUE_FLAGS = ("--trace", "--metrics-out", "--cache-dir")
 
 
 def _normalize_argv(argv: list[str]) -> list[str]:
     """Back-compat shim: ``repro trace FILE`` means ``trace steps FILE``.
 
-    The ``trace`` subcommand grew tools (``report``/``diff``/``flame``);
+    The ``trace`` subcommand grew tools (``report``/``flame``);
     a bare ``trace FILE`` still has to print the reduction trace, so
     when the token after ``trace`` is not a tool name we insert
     ``steps``.  Global flags before the subcommand are skipped

@@ -23,7 +23,7 @@ from __future__ import annotations
 from repro.lang.errors import TypeCheckError
 from repro.types.kinds import OMEGA
 from repro.types.subtype import sig_subtype
-from repro.types.types import Sig, Type, free_type_vars, subst_type
+from repro.types.types import Sig, Type, subst_type
 from repro.extensions.translucent import TranslucentSig
 from repro.unite.expand import expand_type
 
@@ -82,9 +82,3 @@ def subtype_with_hiding(specific: TranslucentSig, general: Sig) -> bool:
     # The hidden names must not survive anywhere (e.g. under a nested
     # sig that rebinds them we leave them alone, which is correct).
     return sig_subtype(specific.expand(), revealed)
-
-
-def opaque_residue(sig: Sig) -> frozenset[str]:
-    """Free type variables of a signature — names still unaccounted
-    for after hiding.  Useful for diagnosing ill-formed ascriptions."""
-    return free_type_vars(sig)

@@ -35,7 +35,6 @@ suite checks the two against each other on the program corpus.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable
 
 from repro.lang.ast import (
     App,
@@ -88,10 +87,6 @@ class MachineState:
         if not self.store:
             return self.control
         return Letrec(tuple(self.store), self.control)
-
-
-class _Stuck(Exception):
-    """Internal: no redex found (the control is a value)."""
 
 
 #: Reductions allowed when neither the caller nor an active budget

@@ -24,7 +24,7 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass, field
-from typing import Iterator, Sequence, Union
+from typing import Iterator, Union
 
 from repro import limits as _limits
 from repro.lang.errors import LexError, Loc
@@ -370,8 +370,3 @@ def datum_to_python(datum: Datum):
     if isinstance(datum, SList):
         return [datum_to_python(item) for item in datum.items]
     return datum
-
-
-def sexpr_equal(left: Datum, right: Datum) -> bool:
-    """Structural equality of data, ignoring source locations."""
-    return left == right

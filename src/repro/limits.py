@@ -52,6 +52,7 @@ driver built on top of it (:mod:`repro.batch`).
 from __future__ import annotations
 
 import sys
+import threading
 import time
 from contextlib import ExitStack, contextmanager
 from contextvars import ContextVar
@@ -362,6 +363,13 @@ def budget_scope(budget: Budget | None = None) -> Iterator[Budget]:
                               round(fraction, 6))
 
 
+#: Open :func:`python_recursion_headroom` scopes process-wide, and the
+#: recursion limit the first of them found.
+_headroom_lock = threading.Lock()
+_headroom_open = 0
+_headroom_saved = 0
+
+
 @contextmanager
 def python_recursion_headroom(limit: int) -> Iterator[None]:
     """Temporarily raise the Python recursion limit, then restore it.
@@ -372,10 +380,23 @@ def python_recursion_headroom(limit: int) -> Iterator[None]:
     already-higher limit, and always restoring the previous value —
     unlike a bare ``sys.setrecursionlimit`` call, which mutates global
     state for the rest of the process.
+
+    The limit is process-global while scopes are per thread, so open
+    scopes are counted under a lock: the first to enter saves the
+    limit and the last to exit restores it.  A scope that exits early
+    never takes headroom from a concurrent one still running.
     """
-    prev = sys.getrecursionlimit()
-    sys.setrecursionlimit(max(prev, limit))
+    global _headroom_open, _headroom_saved
+    with _headroom_lock:
+        if not _headroom_open:
+            _headroom_saved = sys.getrecursionlimit()
+        _headroom_open += 1
+        if limit > sys.getrecursionlimit():
+            sys.setrecursionlimit(limit)
     try:
         yield
     finally:
-        sys.setrecursionlimit(prev)
+        with _headroom_lock:
+            _headroom_open -= 1
+            if not _headroom_open:
+                sys.setrecursionlimit(_headroom_saved)

@@ -32,7 +32,6 @@ from repro.obs.analyze import (
     diff_counts,
     fold_stacks,
     kind_counts,
-    load_counts,
     regressions,
     top_self_time,
     validate_spans,
@@ -65,7 +64,6 @@ from repro.obs.metrics import (
     Gauge,
     Histogram,
     MetricsRegistry,
-    PeriodicSnapshots,
     load_snapshot,
     merge_snapshot_files,
     render_metrics_diff,
@@ -74,7 +72,7 @@ from repro.obs.metrics import (
     render_prometheus,
 )
 from repro.obs.profiling import ProfileSession, profiled
-from repro.obs.report import render_diff, render_flame, render_report
+from repro.obs.report import render_flame, render_report
 
 __all__ = [
     "Collector",
@@ -106,7 +104,6 @@ __all__ = [
     "Histogram",
     "Gauge",
     "MetricsRegistry",
-    "PeriodicSnapshots",
     "load_snapshot",
     "merge_snapshot_files",
     "render_percentiles",
@@ -125,8 +122,6 @@ __all__ = [
     "kind_counts",
     "diff_counts",
     "regressions",
-    "load_counts",
     "render_report",
-    "render_diff",
     "render_flame",
 ]

@@ -17,20 +17,17 @@ the causal structure the span layer stamped onto it —
   spent,
 * :func:`fold_stacks` flattens the forest into collapsed-stack lines
   consumable by standard flamegraph tools,
-* :func:`kind_counts` / :func:`diff_counts` / :func:`load_counts`
-  power ``repro trace diff``; :func:`diff_counts` /
-  :func:`regressions` / :func:`registered_counts` also back the
-  ``repro metrics diff`` count gate.
+* :func:`kind_counts` counts a trace per kind; :func:`diff_counts` /
+  :func:`regressions` / :func:`registered_counts` back the ``repro
+  metrics diff`` count gate.
 
 Rendering lives in :mod:`repro.obs.report`; the CLI entry points are
-the ``repro trace report|diff|flame`` subcommands.
+the ``repro trace report|flame`` subcommands.
 """
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
-from pathlib import Path
 from typing import Iterable, Sequence
 
 from repro.obs.events import TraceEvent, family_of
@@ -355,34 +352,6 @@ def regressions(deltas: Iterable[KindDelta], threshold: float,
     """
     bad_states = {"regressed"} | ({"new", "gone"} if strict else set())
     return [d for d in deltas if d.status(threshold) in bad_states]
-
-
-def load_counts(path: str | Path) -> dict[str, int]:
-    """Per-kind counts from a trace (JSONL) *or* metrics (JSON) file.
-
-    The two on-disk shapes are sniffed, not declared: a metrics file
-    is one JSON object with a ``counters`` key (as written by
-    ``--metrics-out`` / ``write_metrics``); anything else is treated
-    as a JSON-Lines trace.  Only dotted ``family.action`` counters in
-    a registered family count (bookkeeping counters are skipped).
-    """
-    from repro.obs.jsonl import read_jsonl
-
-    text = Path(path).read_text(encoding="utf-8")
-    stripped = text.strip()
-    if not stripped:
-        return {}
-    try:
-        payload = json.loads(stripped)
-    except json.JSONDecodeError:
-        payload = None
-    if isinstance(payload, dict) and "counters" in payload \
-            and "kind" not in payload:
-        counters = payload["counters"]
-        if not isinstance(counters, dict):
-            raise ValueError(f"{path}: 'counters' is not an object")
-        return registered_counts(counters)
-    return kind_counts(read_jsonl(path))
 
 
 def registered_counts(counters: dict[str, object]) -> dict[str, int]:

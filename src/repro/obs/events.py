@@ -83,7 +83,6 @@ KINDS: dict[str, str] = {
     "stage.eval": "the checked program was evaluated",
     # Telemetry lifecycle (repro.obs.metrics)
     "metric.flush": "a collector scope flushed into a MetricsRegistry",
-    "metric.snapshot": "a metrics1 snapshot was written to disk",
     "metric.dropped": "events of one kind were truncated (count attached)",
     # The Python-closure codegen backend (repro.backend)
     "pycode.codegen": "a program was lowered to Python source and "

@@ -29,8 +29,6 @@ serve`` requests) produce **one coherent snapshot**:
   into it with span ids remapped into a fresh range, so the merged
   trace holds N disjoint, well-formed span trees with zero
   cross-contamination.
-* :class:`PeriodicSnapshots` — a background thread writing versioned
-  ``metrics1`` snapshots at an interval, for long-running processes.
 * The ``metrics1`` snapshot format (:data:`SNAPSHOT_SCHEMA`), its
   reader/merger (:func:`load_snapshot`, :func:`merge_snapshot_files`),
   a Prometheus-style text exposition writer
@@ -44,11 +42,10 @@ from __future__ import annotations
 
 import json
 import math
-import os
 import threading
 from contextlib import contextmanager
 from pathlib import Path
-from typing import Iterable, Iterator, Sequence
+from typing import Iterator, Sequence
 
 #: Version tag of the metrics snapshot format.  Readers reject other
 #: schemas instead of misinterpreting them.
@@ -328,7 +325,6 @@ class MetricsRegistry:
         self.dropped = 0
         self.dropped_kinds: dict[str, int] = {}
         self.flushes = 0
-        self.snapshots_written = 0
 
     # -- direct recording (thread-safe) ---------------------------------
 
@@ -523,80 +519,19 @@ def _snapshot_dict(*, counters: dict[str, int], timers: dict[str, float],
     return out
 
 
-class PeriodicSnapshots:
-    """Write ``metrics1`` snapshots of a registry on an interval.
-
-    For long-running processes (the coming ``repro serve``): a daemon
-    thread writes the snapshot atomically (temp file + rename) every
-    ``interval_s`` seconds, and once more on :meth:`stop`.  Use as a
-    context manager or call :meth:`start`/:meth:`stop` directly.
-    """
-
-    def __init__(self, registry: MetricsRegistry, path: str | Path,
-                 interval_s: float = 10.0):
-        self.registry = registry
-        self.path = Path(path)
-        self.interval_s = interval_s
-        self._halt = threading.Event()
-        self._thread: threading.Thread | None = None
-
-    def write_now(self) -> None:
-        """Write one snapshot synchronously (atomic replace)."""
-        payload = self.registry.snapshot()
-        tmp = self.path.with_name(self.path.name + ".tmp")
-        tmp.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n",
-                       encoding="utf-8")
-        os.replace(tmp, self.path)
-        self.registry.snapshots_written += 1
-        from repro.obs.collector import current as _current
-
-        col = _current()
-        if col is not None:
-            col.emit("metric.snapshot", {"path": str(self.path),
-                                         "events": payload["events"]})
-
-    def _loop(self) -> None:
-        while not self._halt.wait(self.interval_s):
-            self.write_now()
-
-    def start(self) -> "PeriodicSnapshots":
-        if self._thread is None:
-            self._halt.clear()
-            self._thread = threading.Thread(
-                target=self._loop, name="repro-metrics-snapshots",
-                daemon=True)
-            self._thread.start()
-        return self
-
-    def stop(self) -> None:
-        """Halt the thread and write a final snapshot."""
-        self._halt.set()
-        if self._thread is not None:
-            self._thread.join()
-            self._thread = None
-        self.write_now()
-
-    def __enter__(self) -> "PeriodicSnapshots":
-        return self.start()
-
-    def __exit__(self, *exc) -> None:
-        self.stop()
-
-
 # ---------------------------------------------------------------------------
 # Snapshot files: loading and merging
 # ---------------------------------------------------------------------------
 
 
 def load_snapshot(path: str | Path) -> dict[str, object]:
-    """Read a metrics snapshot file, rejecting unknown schemas.
+    """Read a ``metrics1`` snapshot file, rejecting anything else.
 
-    Accepts ``metrics1`` files, the schema-less collector metrics
-    shape older snapshots used (anything that is one JSON object with
-    a ``counters`` key), and the link server's response envelope — a
-    ``repro client metrics`` capture, whose snapshot rides under a
-    ``"metrics"`` key — so serve-mode percentiles feed the same
-    ``report``/``diff`` gates as file snapshots.
+    Accepts a snapshot carrying ``"schema": "metrics1"`` and the link
+    server's response envelope — a ``repro client metrics`` capture,
+    whose snapshot rides under a ``"metrics"`` key — so serve-mode
+    percentiles feed the same ``report``/``diff`` gates as file
+    snapshots.
     """
     try:
         payload = json.loads(Path(path).read_text(encoding="utf-8"))
@@ -608,9 +543,10 @@ def load_snapshot(path: str | Path) -> dict[str, object]:
     if not isinstance(payload, dict) or "counters" not in payload:
         raise ValueError(f"{path}: not a metrics snapshot "
                          f"(no 'counters' object)")
-    schema = payload.get("schema", SNAPSHOT_SCHEMA)
+    schema = payload.get("schema")
     if schema != SNAPSHOT_SCHEMA:
-        raise ValueError(f"{path}: unsupported metrics schema {schema!r}")
+        raise ValueError(f"{path}: unsupported metrics schema {schema!r} "
+                         f"(expected {SNAPSHOT_SCHEMA!r})")
     return payload
 
 

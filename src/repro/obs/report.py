@@ -1,7 +1,7 @@
 """Text rendering for the trace-analysis toolkit.
 
 Everything here turns :mod:`repro.obs.analyze` structures into plain
-monospace text for the ``repro trace report|diff|flame`` subcommands.
+monospace text for the ``repro trace report|flame`` subcommands.
 No terminal control codes: the output is meant to be read in CI logs
 and diffed across runs as easily as on a tty.
 """
@@ -11,7 +11,6 @@ from __future__ import annotations
 from typing import Sequence
 
 from repro.obs.analyze import (
-    KindDelta,
     SpanForest,
     SpanNode,
     critical_path,
@@ -230,37 +229,6 @@ def render_report(events: Sequence[TraceEvent], top: int = 10,
         out.append("span-structure problems:")
         out.extend(f"  {p}" for p in problems)
     return "\n".join(out)
-
-
-def render_diff(deltas: Sequence[KindDelta], threshold: float,
-                strict: bool = False) -> tuple[str, bool]:
-    """The ``repro trace diff`` table; returns ``(text, gate_failed)``.
-
-    ``gate_failed`` is true when any kind regressed past the relative
-    ``threshold`` (or, under ``strict``, appeared/vanished entirely).
-    """
-    from repro.obs.analyze import regressions
-
-    failing = {d.kind for d in regressions(deltas, threshold, strict)}
-    out: list[str] = []
-    out.append(f"trace diff — threshold {threshold:.0%}"
-               + (", strict" if strict else ""))
-    if not deltas:
-        out.append("  (no event kinds on either side)")
-        return "\n".join(out), False
-    width = max(len(d.kind) for d in deltas)
-    out.append(f"  {'kind'.ljust(width)}  {'base':>8}  {'cur':>8}  "
-               f"{'delta':>8}  status")
-    for d in deltas:
-        status = d.status(threshold)
-        flag = " <-- FAIL" if d.kind in failing else ""
-        out.append(f"  {d.kind.ljust(width)}  {d.base:>8}  {d.cur:>8}  "
-                   f"{d.delta:>+8}  {status}{flag}")
-    if failing:
-        out.append(f"  {len(failing)} kind(s) breach the gate")
-    else:
-        out.append("  within threshold")
-    return "\n".join(out), bool(failing)
 
 
 def render_flame(events: Sequence[TraceEvent]) -> str:

@@ -20,8 +20,9 @@ Faults (the :data:`FAULTS` vocabulary):
   retrieval boundary (and proving the content-addressed parse cache
   cannot be poisoned: the mangled source has a different key);
 * ``link-exhaust`` — the compound-merge step raises
-  :class:`~repro.limits.BudgetExceeded` before consulting the link
-  store, exercising the never-cache-failures discipline mid-link;
+  :class:`~repro.limits.BudgetExceeded` before the flatten memo can
+  store its subtree, exercising the never-cache-failures discipline
+  mid-link;
 * ``worker-kill`` — the executing *worker process* dies instantly via
   ``os._exit`` (no cleanup, no response — indistinguishable from a
   SIGKILL or OOM kill from the parent's side), exercising the pool's

@@ -142,7 +142,6 @@ class ServeConfig:
     default_deadline_s: float = 10.0
     max_deadline_s: float | None = 60.0
     cache_dir: str | None = None
-    ttl_s: float | None = None
     allow_chaos: bool = False
     port_file: str | None = None
 
@@ -165,8 +164,11 @@ class LinkServer:
         self.config = config
         self.registry = registry if registry is not None \
             else obs.MetricsRegistry()
-        self.store = store if store is not None else CacheStore(
-            config.cache_dir, thread_safe=True, ttl_s=config.ttl_s)
+        # In process mode each worker builds its own store; the
+        # parent's control ops broadcast to them instead.
+        self.store = store
+        if store is None and not config.processes:
+            self.store = CacheStore(config.cache_dir)
         self.port: int | None = None
         self._server: asyncio.base_events.Server | None = None
         self._pool: ThreadPoolExecutor | None = None
@@ -367,16 +369,12 @@ class LinkServer:
         request_id = req.get("id")
         op = req["op"]
         if op == "flush":
-            # The parent's store only fronts control ops in this mode,
-            # but clear it too so occupancy reads stay truthful.
-            self.store.clear()
             self._workers.broadcast("flush")
             return _protocol.ok_response(request_id, value="flushed")
         if op == "invalidate":
-            removed = self.store.invalidate(req["digest"])
-            removed += sum(int(count) for count in
-                           self._workers.broadcast("invalidate",
-                                                   req["digest"]))
+            removed = sum(int(count) for count in
+                          self._workers.broadcast("invalidate",
+                                                  req["digest"]))
             return _protocol.ok_response(request_id, removed=removed)
         # op == "stats": per-worker occupancy and collector counts
         # summed, plus the pool's death/respawn bookkeeping.

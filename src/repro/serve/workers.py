@@ -14,8 +14,8 @@ Design decisions, in order of importance:
   pipeline fresh — no inherited locks, no forked event loop, no
   accidentally shared contextvars.  The worker entry point
   (:func:`_worker_main`) builds its *own* per-process
-  :class:`~repro.units.cache.CacheStore` (unlocked: a worker runs one
-  request at a time) and its own
+  :class:`~repro.units.cache.CacheStore` (its locks go uncontended: a
+  worker runs one request at a time) and its own
   :class:`~repro.obs.metrics.MetricsRegistry`; the only state workers
   share is the pycode disk cache tier, whose content-addressed keys and
   atomic tmp+``os.replace`` writes are already process-safe.
@@ -106,7 +106,7 @@ def _worker_main(conn, config: "ServeConfig") -> None:
 
     configure_serving_gc()
     _chaos.mark_worker_process()
-    store = CacheStore(config.cache_dir, ttl_s=config.ttl_s)
+    store = CacheStore(config.cache_dir)
     registry = MetricsRegistry()
     conn.send(("ready", os.getpid()))
     while True:

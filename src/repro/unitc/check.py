@@ -73,7 +73,6 @@ from repro.unitc.ast import (
     TVar,
     TypedCompoundExpr,
     TypedInvokeExpr,
-    TypedLinkClause,
     TypedUnitExpr,
 )
 from repro.unitc.prims import TYPED_PRIMS
@@ -573,12 +572,6 @@ def _check_typed_invoke(invoke: TypedInvokeExpr, env: TyEnv,
 # ---------------------------------------------------------------------------
 # The compound rule
 # ---------------------------------------------------------------------------
-
-
-def _clause_sig(clause: TypedLinkClause, init: Type) -> Sig:
-    """The signature a with/provides clause ascribes to its constituent."""
-    return Sig(clause.with_types, clause.with_values,
-               clause.prov_types, clause.prov_values, init)
 
 
 def _decl_subset(sub_t, sub_v, sources_t: dict, sources_v: dict,

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.lang.ast import Expr
+from repro.lang.ast import Expr, children
 from repro.lang.errors import Loc
 
 
@@ -106,12 +106,10 @@ def unit_children(expr: Expr) -> tuple[Expr, ...]:
     This extends :func:`repro.lang.ast.children` to the three unit
     forms; use it for generic traversals over full UNITd programs.
     """
-    from repro.lang import ast as core
-
     if isinstance(expr, UnitExpr):
         return tuple(e for _, e in expr.defns) + (expr.init,)
     if isinstance(expr, CompoundExpr):
         return (expr.first.expr, expr.second.expr)
     if isinstance(expr, InvokeExpr):
         return (expr.expr, *(e for _, e in expr.links))
-    return core.children(expr)
+    return children(expr)

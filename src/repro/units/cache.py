@@ -28,25 +28,24 @@ dynamic extent of the block — the CLI wraps each invocation in one
 their own.  :func:`cache_store_scope` instead installs an *existing*
 store, which is how ``repro serve`` shares one long-lived,
 concurrency-safe store across requests: the daemon constructs a
-``CacheStore(thread_safe=True, ttl_s=...)`` once and every worker
-thread enters ``cache_store_scope(store)`` for its request.  Scoping
-is :mod:`contextvars`-based, so concurrent requests each see exactly
-the store their scope installed and a library caller can never observe
+``CacheStore`` once and every worker thread enters
+``cache_store_scope(store)`` for its request.  Scoping is
+:mod:`contextvars`-based, so concurrent requests each see exactly the
+store their scope installed and a library caller can never observe
 another caller's cache state.  ``--no-term-cache`` (the
 :mod:`repro.lang.terms` switch) also disables them.
 
-Concurrency: a ``thread_safe`` store guards each in-memory LRU with a
-lock and the disk tier with striped per-digest locks.  No lock is
-ever held across a ``compute()`` callback, so two racing misses on the
-same key may both compute (a benign stampede — the values are
+Concurrency: every store guards each in-memory LRU with a lock and
+the disk tier with striped per-digest locks.  No lock is ever held
+across a ``compute()`` callback, so two racing misses on the same key
+may both compute (a benign stampede — the values are
 structurally identical and last-put wins); what the locks rule out is
 *torn state*: a reader never observes a half-updated LRU, a
 half-written disk entry (writes go to a unique temp file and
 ``os.replace`` into place), or a concurrent unlink-on-corrupt.
 
-Eviction and invalidation: every store is size-bounded (LRU); a
-``ttl_s`` additionally expires entries by age at lookup time (expiry
-emits ``cache.evict`` with ``reason: "ttl"``).
+Eviction and invalidation: every store is size-bounded (LRU); keys
+are content digests, so an entry never goes stale.
 :meth:`CacheStore.invalidate` removes every entry derived from a given
 ``tk1`` digest — memory entries whose key embeds the digest and the
 digest's pycode disk file — so a serving process can drop one unit's
@@ -70,7 +69,7 @@ import re
 import threading
 import time
 from collections import OrderedDict
-from contextlib import contextmanager, nullcontext
+from contextlib import contextmanager
 from contextvars import ContextVar
 from pathlib import Path
 from typing import Callable, Iterator
@@ -82,7 +81,7 @@ from repro.serve import chaos as _chaos
 
 _MISS = object()
 
-#: Default LRU capacities per store (scaled by ``CacheStore(scale=)``).
+#: LRU capacity per store.
 _SIZES = {"dynlink": 256, "pycode": 256, "flatten": 512}
 
 #: How many stripes the per-digest disk locks are spread over.
@@ -90,121 +89,58 @@ _DIGEST_STRIPES = 64
 
 
 class TermCache:
-    """A bounded LRU map from digests to results.
+    """A bounded, lock-guarded LRU map from digests to results.
 
     Pure storage: event emission happens in the ``cached_*`` helpers
     below (one event per *logical* lookup, even when a memory miss
-    falls through to the disk tier), except eviction — size-bound LRU
-    drops and TTL expiries — which only this class can see.
-
-    With a ``lock`` the table is safe for concurrent get/put (the
-    serve store's configuration); with a ``ttl_s`` entries expire by
-    age at lookup time, so a long-lived store sheds stale results even
-    for keys hot enough to survive the LRU.
+    falls through to the disk tier), except eviction, which only this
+    class can see.  Keys are content digests, so an entry is never
+    stale; the LRU bound alone sheds old results.
     """
 
-    def __init__(self, name: str, maxsize: int, *,
-                 lock: "threading.Lock | None" = None,
-                 ttl_s: float | None = None,
-                 clock: Callable[[], float] = time.monotonic):
+    def __init__(self, name: str, maxsize: int):
         self.name = name
         self.maxsize = maxsize
-        self.ttl_s = ttl_s
-        self._clock = clock
-        self._lock = lock
+        self._lock = threading.Lock()
         self._table: "OrderedDict[object, object]" = OrderedDict()
-        self._stamps: dict[object, float] | None = \
-            {} if ttl_s is not None else None
 
     def get(self, key: object) -> object:
-        if self._lock is None:
-            found, expired = self._get(key)
-        else:
-            with self._lock:
-                found, expired = self._get(key)
-        if expired:
-            col = _obs_current()
-            if col is not None:
-                col.emit("cache.evict", {"cache": self.name,
-                                         "reason": "ttl"})
-                col.gauge(f"cache.occupancy.{self.name}", len(self._table))
+        with self._lock:
+            found = self._table.get(key, _MISS)
+            if found is not _MISS:
+                self._table.move_to_end(key)
         return found
 
-    def _get(self, key: object) -> tuple[object, bool]:
-        found = self._table.get(key, _MISS)
-        if found is _MISS:
-            return _MISS, False
-        if self._stamps is not None:
-            stamp = self._stamps.get(key, 0.0)
-            if self._clock() - stamp > self.ttl_s:
-                del self._table[key]
-                self._stamps.pop(key, None)
-                return _MISS, True
-        self._table.move_to_end(key)
-        return found, False
-
     def put(self, key: object, value: object) -> None:
-        if self._lock is None:
-            evicted = self._put(key, value)
-        else:
-            with self._lock:
-                evicted = self._put(key, value)
+        with self._lock:
+            self._table[key] = value
+            self._table.move_to_end(key)
+            evicted = len(self._table) > self.maxsize
+            if evicted:
+                self._table.popitem(last=False)
         col = _obs_current()
         if col is not None:
             if evicted:
                 col.emit("cache.evict", {"cache": self.name})
             col.gauge(f"cache.occupancy.{self.name}", len(self._table))
 
-    def _put(self, key: object, value: object) -> bool:
-        self._table[key] = value
-        self._table.move_to_end(key)
-        if self._stamps is not None:
-            self._stamps[key] = self._clock()
-        if len(self._table) > self.maxsize:
-            old, _ = self._table.popitem(last=False)
-            if self._stamps is not None:
-                self._stamps.pop(old, None)
-            return True
-        return False
-
     def delete(self, key: object) -> int:
         """Drop one entry; returns how many entries were removed."""
-        if self._lock is None:
-            return self._delete(key)
         with self._lock:
-            return self._delete(key)
-
-    def _delete(self, key: object) -> int:
-        if key in self._table:
-            del self._table[key]
-            if self._stamps is not None:
-                self._stamps.pop(key, None)
-            return 1
-        return 0
+            return 1 if self._table.pop(key, _MISS) is not _MISS else 0
 
     def matching(self, digest: str) -> list[object]:
         """Keys that embed ``digest`` (directly or inside a tuple)."""
-        if self._lock is None:
+        with self._lock:
             keys = list(self._table)
-        else:
-            with self._lock:
-                keys = list(self._table)
         return [key for key in keys if _key_contains(key, digest)]
 
     def __len__(self) -> int:
         return len(self._table)
 
     def clear(self) -> None:
-        if self._lock is None:
-            self._clear()
-        else:
-            with self._lock:
-                self._clear()
-
-    def _clear(self) -> None:
-        self._table.clear()
-        if self._stamps is not None:
-            self._stamps.clear()
+        with self._lock:
+            self._table.clear()
 
 
 _TK1_DIGEST = re.compile(r"[0-9a-f]{32}")
@@ -235,45 +171,29 @@ class CacheStore:
     """One complete set of content-addressed stores plus the disk tier.
 
     The unit of cache *scoping*: :func:`unit_cache_scope` creates a
-    private one per invocation; ``repro serve`` creates one
-    ``thread_safe`` instance at startup and shares it across every
-    request via :func:`cache_store_scope`.  In multi-process serve
-    mode each worker process instead builds its own unlocked store,
-    and sibling workers share warm state *only* through the pycode
-    disk tier: writes are atomic (per-process temp file +
+    private one per invocation; ``repro serve`` creates one at startup
+    and shares it across every request via :func:`cache_store_scope`.
+    In multi-process serve mode each worker process instead builds its
+    own, and sibling workers share warm state *only* through the
+    pycode disk tier: writes are atomic (per-process temp file +
     ``os.replace``) and keys are content-addressed ``tk1`` digests, so
     concurrent writers of the same key race to install identical
     bytes — last-replace-wins is correct by construction, with no
     cross-process locking.
 
-    ``thread_safe`` arms a lock per in-memory LRU and
+    Every store locks: one lock per in-memory LRU and
     :data:`_DIGEST_STRIPES` striped locks for disk-tier reads, writes,
-    and unlink-on-corrupt.  ``ttl_s`` expires memory entries by age;
-    ``scale`` multiplies the default LRU capacities.  ``clock`` is
-    injectable so TTL tests need not sleep.
+    and unlink-on-corrupt.
     """
 
-    def __init__(self, disk_dir: str | Path | None = None, *,
-                 thread_safe: bool = False, ttl_s: float | None = None,
-                 scale: float = 1.0,
-                 clock: Callable[[], float] = time.monotonic):
+    def __init__(self, disk_dir: str | Path | None = None):
         self.disk_dir = Path(disk_dir) if disk_dir is not None else None
-        self.thread_safe = thread_safe
-        self.ttl_s = ttl_s
-
-        def make(name: str) -> TermCache:
-            return TermCache(
-                name, max(1, int(_SIZES[name] * scale)),
-                lock=threading.Lock() if thread_safe else None,
-                ttl_s=ttl_s, clock=clock)
-
-        self.parse = make("dynlink")
-        self.pycode = make("pycode")
-        self.flatten = make("flatten")
+        self.parse = TermCache("dynlink", _SIZES["dynlink"])
+        self.pycode = TermCache("pycode", _SIZES["pycode"])
+        self.flatten = TermCache("flatten", _SIZES["flatten"])
         self.caches = (self.parse, self.pycode, self.flatten)
-        self._stripes = (tuple(threading.Lock()
-                               for _ in range(_DIGEST_STRIPES))
-                         if thread_safe else None)
+        self._stripes = tuple(threading.Lock()
+                              for _ in range(_DIGEST_STRIPES))
 
     # -- maintenance ----------------------------------------------------
 
@@ -311,9 +231,7 @@ class CacheStore:
 
     # -- the pycode disk tier -------------------------------------------
 
-    def _digest_lock(self, key: str):
-        if self._stripes is None:
-            return nullcontext()
+    def _digest_lock(self, key: str) -> threading.Lock:
         return self._stripes[hash(key) % _DIGEST_STRIPES]
 
     def _disk_path(self, key: str) -> Path | None:
@@ -416,13 +334,6 @@ def unit_caches_active() -> bool:
     return _active_store() is not None
 
 
-def clear_unit_caches() -> None:
-    """Empty the scoped store's memory tiers (disk is untouched)."""
-    store = current_store()
-    if store is not None:
-        store.clear()
-
-
 @contextmanager
 def cache_store_scope(store: CacheStore) -> Iterator[CacheStore]:
     """Make ``store`` the consulted store for the dynamic extent.
@@ -520,8 +431,8 @@ def record_verdict(source: str, expr: Expr,
     """Store ``verdict`` on the parse entry of ``source`` (no event:
     not a lookup).
 
-    The entry is replaced, never mutated, so a ``thread_safe`` store's
-    lock covers the update.  Only a check that completed may record:
+    The entry is replaced, never mutated, so the store's lock covers
+    the update.  Only a check that completed may record:
     failures must re-fire their errors every time.
     """
     store = _active_store()

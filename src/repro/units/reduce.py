@@ -22,7 +22,7 @@ benchmarks print the before/after terms.
 from __future__ import annotations
 
 from repro import limits as _limits
-from repro.lang.ast import Expr, Letrec, Seq, Var, seq_of
+from repro.lang.ast import Expr, Letrec, Var, seq_of
 from repro.lang.errors import UnitLinkError
 from repro.lang.subst import fresh_like, free_vars, substitute
 from repro.obs import current as _obs_current
@@ -151,11 +151,6 @@ def _merge_bodies(compound: CompoundExpr, first: UnitExpr,
         init=seq_of(init1, init2),
         loc=compound.loc,
     )
-
-
-def is_unit_value(expr: Expr) -> bool:
-    """Is ``expr`` an atomic unit expression (hence a value)?"""
-    return isinstance(expr, UnitExpr)
 
 
 def reduce_compound_expr(expr: CompoundExpr) -> UnitExpr:

@@ -11,6 +11,7 @@ a success.
 """
 
 import sys
+import threading
 
 import pytest
 
@@ -354,6 +355,70 @@ class TestRecursionHeadroom:
             with limits.python_recursion_headroom(before + 5000):
                 raise RuntimeError("boom")
         assert sys.getrecursionlimit() == before
+
+    def test_overlapping_threads_keep_headroom_until_last_exit(self):
+        # Two served requests overlap: the first to exit must not take
+        # the second's headroom, and the last to exit must restore the
+        # limit both found.
+        before = sys.getrecursionlimit()
+        raised = before + 5000
+        first_in, second_in, first_out = (threading.Event()
+                                          for _ in range(3))
+        seen: dict[str, int] = {}
+
+        def first() -> None:
+            with limits.python_recursion_headroom(raised):
+                first_in.set()
+                second_in.wait(timeout=10)
+            first_out.set()
+
+        def second() -> None:
+            first_in.wait(timeout=10)
+            with limits.python_recursion_headroom(raised):
+                second_in.set()
+                first_out.wait(timeout=10)
+                seen["inside"] = sys.getrecursionlimit()
+
+        threads = [threading.Thread(target=fn) for fn in (first, second)]
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=20)
+            seen["after"] = sys.getrecursionlimit()
+        finally:
+            sys.setrecursionlimit(before)
+        assert seen == {"inside": raised, "after": before}
+
+    def test_scope_that_raises_keeps_the_others_headroom(self):
+        # The first scope to enter raises and exits while a second,
+        # on another thread, still runs: the error path must count
+        # the exit too, and leave the second scope its headroom.
+        before = sys.getrecursionlimit()
+        raised = before + 5000
+        entered, failed = threading.Event(), threading.Event()
+        seen: dict[str, int] = {}
+
+        def holder() -> None:
+            with limits.python_recursion_headroom(raised):
+                entered.set()
+                failed.wait(timeout=10)
+                seen["inside"] = sys.getrecursionlimit()
+
+        thread = threading.Thread(target=holder)
+        try:
+            with pytest.raises(RuntimeError):
+                with limits.python_recursion_headroom(raised):
+                    thread.start()
+                    entered.wait(timeout=10)
+                    raise RuntimeError("boom")
+            failed.set()
+            thread.join(timeout=20)
+            seen["after"] = sys.getrecursionlimit()
+        finally:
+            failed.set()
+            sys.setrecursionlimit(before)
+        assert seen == {"inside": raised, "after": before}
 
 
 class TestBudgetCacheInteraction:

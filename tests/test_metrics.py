@@ -34,7 +34,6 @@ from repro.obs.metrics import (
     Gauge,
     Histogram,
     MetricsRegistry,
-    PeriodicSnapshots,
     bucket_bound,
     bucket_index,
 )
@@ -276,6 +275,25 @@ class TestMetricsRegistry:
                                      "counters": {}}))
         with pytest.raises(ValueError):
             obs.load_snapshot(wrong)
+        unversioned = tmp_path / "unversioned.json"
+        unversioned.write_text(json.dumps({"counters": {}}))
+        with pytest.raises(ValueError):
+            obs.load_snapshot(unversioned)
+
+    def test_load_snapshot_unwraps_envelope_under_the_schema_gate(
+            self, tmp_path):
+        reg = MetricsRegistry()
+        reg.count("serve.requests")
+        wrapped = tmp_path / "wrapped.json"
+        wrapped.write_text(json.dumps({"status": "ok",
+                                       "metrics": reg.snapshot()}))
+        assert obs.load_snapshot(wrapped)["counters"] == {
+            "serve.requests": 1}
+        unversioned = tmp_path / "unversioned.json"
+        unversioned.write_text(json.dumps({"status": "ok",
+                                           "metrics": {"counters": {}}}))
+        with pytest.raises(ValueError):
+            obs.load_snapshot(unversioned)
 
 
 WORKERS = 8
@@ -418,38 +436,6 @@ class TestAdoption:
         assert parent.histograms["lat"].count == 1
 
 
-class TestPeriodicSnapshots:
-    def test_write_now_and_stop_write_valid_snapshots(self, tmp_path):
-        reg = MetricsRegistry()
-        reg.count("requests")
-        path = tmp_path / "m.json"
-        snaps = PeriodicSnapshots(reg, path, interval_s=3600.0)
-        snaps.write_now()
-        assert obs.load_snapshot(path)["counters"]["requests"] == 1
-        with snaps:
-            reg.count("requests")
-        assert obs.load_snapshot(path)["counters"]["requests"] == 2
-        assert reg.snapshots_written >= 2
-
-    def test_background_thread_writes(self, tmp_path):
-        reg = MetricsRegistry()
-        reg.count("requests")
-        path = tmp_path / "m.json"
-        with PeriodicSnapshots(reg, path, interval_s=0.02):
-            deadline = threading.Event()
-            for _ in range(100):
-                if path.exists():
-                    break
-                deadline.wait(0.02)
-        assert obs.load_snapshot(path)["schema"] == "metrics1"
-
-    def test_snapshot_event_emitted_into_scope(self, tmp_path):
-        reg = MetricsRegistry()
-        with obs.collecting() as col:
-            PeriodicSnapshots(reg, tmp_path / "m.json").write_now()
-        assert col.counters.get("metric.snapshot") == 1
-
-
 class TestRenderers:
     def _snapshot(self) -> dict:
         reg = MetricsRegistry()
@@ -576,6 +562,19 @@ class TestMetricsCli:
         capsys.readouterr()
         assert main(["metrics", "diff", str(base), str(cur)]) == 1
         assert "FAIL" in capsys.readouterr().out
+
+    def test_diff_vanished_kind_fails_only_under_strict(self, tmp_path,
+                                                        capsys):
+        base = self._write_snapshot(tmp_path, "base.json")
+        snap = json.loads(base.read_text())
+        del snap["counters"]["unit.compile"]
+        del snap["histograms"]["unit.compile"]
+        gone = tmp_path / "gone.json"
+        gone.write_text(json.dumps(snap))
+        assert main(["metrics", "diff", str(base), str(gone)]) == 0
+        assert main(["metrics", "diff", str(base), str(gone),
+                     "--strict"]) == 1
+        assert "gone" in capsys.readouterr().out
 
     def test_diff_gates_counters_without_histograms(self, tmp_path,
                                                     capsys):

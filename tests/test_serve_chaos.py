@@ -84,7 +84,7 @@ class TestArming:
 
 class TestCacheIoFault:
     def test_request_succeeds_memory_only(self, tmp_path):
-        store = CacheStore(tmp_path, thread_safe=True)
+        store = CacheStore(tmp_path)
         response = _run(store, chaos=["cache-io"])
         assert response["status"] == "ok"
         assert response["value"] == "42"

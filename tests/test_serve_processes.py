@@ -33,6 +33,7 @@ import os
 import signal
 import subprocess
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 import pytest
@@ -41,7 +42,8 @@ import repro
 from repro.lang.sexpr import read_sexpr, write_sexpr
 from repro.obs import MetricsRegistry
 from repro.serve.client import ServeClient, exit_code_for, read_port_file
-from repro.serve.server import ServeConfig, ServerThread
+from repro.serve.server import LinkServer, ServeConfig, ServerThread
+from repro.units.cache import CacheStore
 from tests.test_corpus import CASES
 
 GREET = """
@@ -281,6 +283,13 @@ class TestProcessModeControlOps:
             with ServeClient(st.host, st.port) as client:
                 workers = client.request("stats")["workers"]
         assert workers == {"mode": "threads", "workers": 3}
+
+    def test_only_thread_mode_builds_a_parent_store(self):
+        # Process-mode workers each build their own store, and the
+        # parent broadcasts control ops to them.
+        assert LinkServer(ServeConfig(processes=2)).store is None
+        assert isinstance(LinkServer(ServeConfig()).store, CacheStore)
+        assert "ttl_s" not in {f.name for f in fields(ServeConfig)}
 
 
 SERVING_THRESHOLD = [20_000, 10, 10]

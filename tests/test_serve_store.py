@@ -5,13 +5,11 @@ caches to one long-lived, lock-protected store shared by every worker
 thread.  These tests stress exactly the properties the server leans
 on:
 
-* concurrent hits/misses/evictions/invalidations over one
-  ``thread_safe`` store never produce a torn read — every lookup
-  returns either a miss or the one structurally correct value for its
-  key — and every lookup emits exactly one ``cache.hit``/``cache.miss``
-  event (the cache-invariant the differential sweeps rely on);
-* TTL expiry evicts by age at lookup time, with a ``cache.evict``
-  event carrying ``reason: "ttl"``;
+* concurrent hits/misses/evictions/invalidations over one store
+  never produce a torn read — every lookup returns either a miss or
+  the one structurally correct value for its key — and every lookup
+  emits exactly one ``cache.hit``/``cache.miss`` event (the
+  cache-invariant the differential sweeps rely on);
 * ``invalidate(digest)`` removes the digest's memory entries and its
   pycode disk file, and accepts nothing but a ``tk1`` digest;
 * disk writes are atomic (no ``.tmp`` residue, concurrent writers
@@ -31,7 +29,7 @@ from repro import obs
 from repro.lang import terms
 from repro.lang.parser import parse_program
 from repro.units import cache as ucache
-from repro.units.cache import CacheStore, TermCache, cache_store_scope
+from repro.units.cache import CacheStore, cache_store_scope
 from repro.units.check import check_program
 from repro.units.linker import link_and_optimize
 from repro.serve.handlers import run_pipeline
@@ -51,6 +49,14 @@ def _module(i: int) -> str:
     return f"def _main():\n    return {i}\n"
 
 
+def _store_of_maxsize(maxsize: int, disk_dir=None) -> CacheStore:
+    """A store whose every LRU holds ``maxsize`` entries."""
+    store = CacheStore(disk_dir)
+    for cache in store.caches:
+        cache.maxsize = maxsize
+    return store
+
+
 def _main_of(code) -> object:
     namespace: dict = {}
     exec(code, namespace)
@@ -64,9 +70,9 @@ class TestConcurrentStore:
         lookup emits exactly one hit-or-miss event."""
         programs = _programs(12)
         keys = [terms.term_key(p) for p in programs]
-        # scale=0.016 -> pycode LRU of 4 entries: constant eviction,
-        # with disk hits and writes racing underneath.
-        store = CacheStore(tmp_path, thread_safe=True, scale=0.016)
+        # A pycode LRU of 4 entries: constant eviction, with disk
+        # hits and writes racing underneath.
+        store = _store_of_maxsize(4, tmp_path)
         workers, iters = 8, 120
         errors: list[str] = []
 
@@ -122,32 +128,26 @@ class TestConcurrentStore:
             t.join()
         assert lens == {"a": 1, "b": 0}
 
+    def test_lru_bound_holds_under_concurrent_puts(self):
+        # Every TermCache locks: racing puts never overrun maxsize and
+        # a get sees a miss or the one value stored under its key.
+        lru = ucache.TermCache("t", maxsize=4)
+        errors: list[str] = []
 
-class TestTtlEviction:
-    def test_entries_expire_by_age(self):
-        clock = [0.0]
-        cache = TermCache("t", maxsize=8, ttl_s=10.0,
-                          clock=lambda: clock[0])
-        cache.put("k", "v")
-        assert cache.get("k") == "v"
-        clock[0] = 10.5
-        with obs.collecting() as col:
-            assert cache.get("k") is ucache._MISS
-        assert len(cache) == 0
-        evicts = [e for e in col.events if e.kind == "cache.evict"]
-        assert [e.fields.get("reason") for e in evicts] == ["ttl"]
+        def hammer(worker: int) -> None:
+            for i in range(400):
+                key, probe = (worker + i) % 16, (worker + i + 1) % 16
+                lru.put(key, key * 10)
+                found = lru.get(probe)
+                if found is not ucache._MISS and found != probe * 10:
+                    errors.append(f"{probe}: {found!r}")
+                if len(lru) > lru.maxsize:
+                    errors.append(f"size {len(lru)}")
 
-    def test_store_wires_ttl_through(self):
-        clock = [0.0]
-        store = CacheStore(ttl_s=5.0, clock=lambda: clock[0])
-        program = _programs(1)[0]
-        with cache_store_scope(store):
-            ucache.cached_pycode(program, lambda: _module(0))
-            clock[0] = 6.0
-            with obs.collecting() as col:
-                ucache.cached_pycode(program, lambda: _module(0))
-        kinds = [e.kind for e in col.events]
-        assert "cache.evict" in kinds and "cache.miss" in kinds
+        with ThreadPoolExecutor(max_workers=8) as pool:
+            list(pool.map(hammer, range(8)))
+        assert errors == []
+        assert len(lru) == lru.maxsize
 
 
 class TestInvalidation:
@@ -275,8 +275,7 @@ class TestEvictionChurnDifferential:
         return out
 
     def test_churning_store_matches_uncached(self):
-        tiny = CacheStore(scale=0.0001)  # every LRU holds one entry
-        assert all(c.maxsize == 1 for c in tiny.caches)
+        tiny = _store_of_maxsize(1)  # every LRU holds one entry
         with obs.collecting() as col:
             cached = self._observe(tiny)
         uncached = self._observe(None)

@@ -4,8 +4,9 @@
   on a real traced ``repro demo`` run (all five families, valid tree),
 * the agreement invariant: per-kind counts from a trace file equal the
   live collector's counters (metrics file) for the same run,
-* the diff gate: threshold arithmetic (property-tested), strict mode,
-  and the CLI exit codes of ``repro trace report|diff|flame``,
+* the count-diff arithmetic behind ``repro metrics diff`` (threshold
+  property-tested, strict mode) and the CLI exit codes of ``repro
+  trace report|flame``,
 * the ``trace steps`` back-compat spelling.
 """
 
@@ -28,15 +29,14 @@ from repro.obs import (
     diff_counts,
     fold_stacks,
     kind_counts,
-    load_counts,
     read_jsonl,
     regressions,
-    render_diff,
     render_flame,
     render_report,
     top_self_time,
     validate_spans,
 )
+from repro.obs.analyze import registered_counts
 
 EXAMPLE = str(Path(__file__).resolve().parents[1]
               / "examples" / "phonebook.scm")
@@ -160,8 +160,9 @@ class TestDemoTrace:
 
     def test_trace_counts_agree_with_live_counters(self, demo_artifacts):
         trace, metrics = demo_artifacts
-        assert load_counts(trace) == load_counts(metrics)
-        assert kind_counts(read_jsonl(trace)) == load_counts(trace)
+        counters = json.loads(Path(metrics).read_text())["counters"]
+        assert kind_counts(read_jsonl(trace)) == \
+            registered_counts(counters)
 
     def test_critical_path_is_a_chain(self, demo_artifacts):
         trace, _ = demo_artifacts
@@ -221,23 +222,14 @@ class TestDiffGate:
         strict = {d.kind for d in regressions(deltas, 0.10, strict=True)}
         assert strict == {"a.y", "a.z"}
 
-    def test_render_diff_flags_failures(self):
-        deltas = diff_counts({"a.x": 10}, {"a.x": 20})
-        text, failed = render_diff(deltas, 0.10, strict=False)
-        assert failed and "regressed" in text and "FAIL" in text
-        text, failed = render_diff(deltas, 2.0, strict=False)
-        assert not failed
-
-    def test_load_counts_sniffs_both_shapes(self, tmp_path,
-                                            demo_artifacts):
+    def test_registered_counts_skips_bookkeeping(self, demo_artifacts):
         trace, metrics = demo_artifacts
-        # Metrics JSON: only registered family counters survive.
-        payload = json.loads(Path(metrics).read_text())
-        payload["counters"]["bogus"] = 7
-        doctored = tmp_path / "m.json"
-        doctored.write_text(json.dumps(payload))
-        assert "bogus" not in load_counts(doctored)
-        assert load_counts(doctored) == load_counts(trace)
+        counters = dict(json.loads(Path(metrics).read_text())["counters"])
+        counters["bogus"] = 7
+        counters["trace.dropped"] = 3
+        counts = registered_counts(counters)
+        assert "bogus" not in counts and "trace.dropped" not in counts
+        assert counts == kind_counts(read_jsonl(trace))
 
 
 class TestCliExitCodes:
@@ -254,29 +246,13 @@ class TestCliExitCodes:
         assert cli_main(["trace", "report", str(bad)]) == 2
         assert "error" in capsys.readouterr().err
 
-    def test_diff_ok_regressed_and_strict(self, tmp_path, demo_artifacts,
-                                          capsys):
-        trace, metrics = demo_artifacts
-        assert cli_main(["trace", "diff", str(metrics), str(trace)]) == 0
-        capsys.readouterr()
-        doctored = dict(json.loads(Path(metrics).read_text()))
-        doctored["counters"] = {
-            k: (v * 2 if k == "reduce.step" else v)
-            for k, v in doctored["counters"].items()}
-        cur = tmp_path / "worse.json"
-        cur.write_text(json.dumps(doctored))
-        assert cli_main(["trace", "diff", str(metrics), str(cur)]) == 1
-        assert "regressed" in capsys.readouterr().out
-        # A vanished kind passes by default but fails under --strict.
-        smaller = dict(json.loads(Path(metrics).read_text()))
-        smaller["counters"] = {k: v for k, v in
-                               smaller["counters"].items()
-                               if k != "dynlink.load"}
-        gone = tmp_path / "gone.json"
-        gone.write_text(json.dumps(smaller))
-        assert cli_main(["trace", "diff", str(metrics), str(gone)]) == 0
-        assert cli_main(["trace", "diff", str(metrics), str(gone),
-                         "--strict"]) == 1
+    def test_trace_diff_is_gone(self, demo_artifacts, capsys):
+        # ``repro metrics diff`` is the one count gate.
+        _, metrics = demo_artifacts
+        with pytest.raises(SystemExit) as exc:
+            cli_main(["trace", "diff", str(metrics), str(metrics)])
+        assert exc.value.code == 2
+        assert "usage:" in capsys.readouterr().err
 
     def test_flame_writes_collapsed_stacks(self, tmp_path,
                                            demo_artifacts):

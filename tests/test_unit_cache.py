@@ -19,6 +19,7 @@ The invariants under test:
   CLI flags (``--no-term-cache``, ``--cache-dir``, ``bench``) work.
 """
 
+import inspect
 import json
 
 import pytest
@@ -227,6 +228,12 @@ class TestStoreShape:
             assert sorted(store.occupancy()) == [
                 "dynlink", "flatten", "pycode"]
             assert len(store.caches) == 3
+
+    def test_store_and_lru_take_only_their_sizes(self):
+        assert list(inspect.signature(cache.CacheStore).parameters) == [
+            "disk_dir"]
+        assert list(inspect.signature(TermCache).parameters) == [
+            "name", "maxsize"]
 
     def test_check_link_and_compile_write_nothing_to_disk(self, tmp_path):
         """Only generated pycode modules persist: checking, linking,
