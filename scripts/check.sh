@@ -20,7 +20,11 @@
 # 1.3 MB program; docs/PERFORMANCE.md, "Reader"), if a parsed and
 # digested chain-128 AST holds more than 1.5 GC-tracked objects per
 # node (docs/PERFORMANCE.md, "Garbage collection"), if a second pycode
-# demo run against the same cache dir misses the codegen store, or if the
+# demo run against the same cache dir misses the codegen store, if
+# codegen's emitted shape drifts (a strict chain-128 with any undefined
+# check, a library-64 without exactly 2 makers, a lenient forward
+# reference without its check; docs/PERFORMANCE.md, "Codegen
+# emission"), or if the
 # batch-isolation smoke (one good, one looping, one ill-typed
 # program) does not yield exactly the expected records and
 # limit.exceeded trace event (docs/ROBUSTNESS.md), if the link-server
@@ -232,7 +236,7 @@ pycode_trace="$(mktemp)"
 trap 'rm -f "$trace_file" "$metrics_file" "$bench_out" "$bench_snap" \
     "$pycode_trace"; rm -rf "$pycode_cache_dir"' EXIT
 # Two demo runs against one cache dir: the first populates
-# v1-tk1/pycode/, the second must serve the code object from it.
+# v1-tk2/pycode/, the second must serve the code object from it.
 python -m repro --cache-dir "$pycode_cache_dir" \
     demo --backend pycode examples/phonebook.scm
 python -m repro --cache-dir "$pycode_cache_dir" --trace "$pycode_trace" \
@@ -255,6 +259,44 @@ entries = list(pathlib.Path(sys.argv[2]).rglob("pycode/*.py"))
 assert entries, "codegen disk tier wrote no entries"
 print(f"pycode cache ok: {len(hits)} hit(s), 0 misses, "
       f"{len(entries)} disk entr{'y' if len(entries) == 1 else 'ies'}")
+EOF
+
+echo "==> gate: pycode emission shape"
+python - <<'EOF'
+import random
+import re
+import sys
+
+sys.path.insert(0, "perfbench")
+import gen
+
+from repro import bench
+from repro.backend import generate_source
+from repro.lang.parser import parse_program
+from repro.limits import python_recursion_headroom
+from repro.units.check import check_program
+
+# Emitted source is deterministic in the program, so these counts are
+# exact.  A strict program reads no unit cell unfilled: no undefined
+# checks.  Identical unit copies share one hoisted maker.  A lenient
+# forward reference keeps its check.
+with python_recursion_headroom(40000):
+    chain = bench.chain_program(128)
+    check_program(chain)
+    chain_raises = generate_source(chain).count("raise _undef_error()")
+library = parse_program(gen.make_program(
+    random.Random(1), "library", 64, "ci").text)
+check_program(library)
+makers = re.findall(r"def _u\d+\(_cells\):", generate_source(library))
+lenient = parse_program(
+    "(invoke (unit (import) (export) (define a b) (define b 1) a))")
+check_program(lenient, strict_valuable=False)
+lenient_raises = generate_source(lenient).count("raise _undef_error()")
+print(f"pycode emission ok: chain-128 {chain_raises} undefined checks, "
+      f"library-64 {len(makers)} makers, lenient {lenient_raises} checks")
+assert chain_raises == 0, f"strict chain-128 emits {chain_raises} checks"
+assert len(makers) == 2, f"library-64 emits {len(makers)} makers (not 2)"
+assert lenient_raises >= 1, "lenient forward reference lost its check"
 EOF
 
 echo "==> smoke: batch isolation (good + looping + ill-typed)"

@@ -13,8 +13,8 @@ backend is observationally equivalent and only faster.
     value, output = program.run()
 
 Generated source and code objects are cached content-addressed on the
-program's ``tk1`` digest (memory LRU + the ``--cache-dir`` disk tier
-at ``v1-tk1/pycode/<digest>.py``), via
+program's ``tk2`` digest (memory LRU + the ``--cache-dir`` disk tier
+at ``v1-tk2/pycode/<digest>.py``), via
 :func:`repro.units.cache.cached_pycode`.
 """
 

@@ -14,16 +14,28 @@ names baked into the source are the fixed primitive/prelude table and
 the handful of runtime helpers injected by
 :func:`repro.backend.runtime.load_main`.  That determinism is what
 makes the emitted source safe to cache content-addressed on the
-program's ``tk1`` digest (:func:`repro.units.cache.cached_pycode`).
+program's ``tk2`` digest (:func:`repro.units.cache.cached_pycode`).
 
 Compilation strategy, node by node:
 
-* variables — locals read directly; letrec/unit/assigned bindings live
-  in :class:`~repro.lang.values.Cell` boxes and every boxed read checks
-  for ``UNDEFINED`` (the paper's "reference to undefined variable");
-  known, never-assigned globals are hoisted to ``_main``'s prologue;
-  unknown names compile to a raise *at the use site*, preserving the
-  interpreter's lazy failure for dead code;
+* variables — locals read directly; known, never-assigned globals are
+  hoisted to ``_main``'s prologue; unknown names compile to a raise
+  *at the use site*, preserving the interpreter's lazy failure for
+  dead code.  ``set!``-assigned binders live in
+  :class:`~repro.lang.values.Cell` boxes read through a temporary, so
+  a later assignment cannot overtake the read.  Only a read that can
+  see an unfilled cell checks for ``UNDEFINED`` (the paper's
+  "reference to undefined variable"): every ``letrec`` read, and every
+  unit import/definition read in a program with a non-valuable unit
+  (a lenient forward reference).  ``let``/``lambda`` boxes start
+  filled.  When every unit of the program has valuable definitions
+  (Section 4.1.1, :mod:`repro.units.valuable`), with any primitive
+  name the program rebinds counted as user code, no definition runs
+  user code or reads a unit variable outside a ``lambda``, so every
+  cell of an invocation is filled before anything can read it: unit
+  cells are then read unchecked, and in place when never assigned.
+  The verdict comes from the program itself, so the source stays a
+  function of its digest;
 * applications — a call in tail position returns a ``_Tail`` thunk for
   the caller's trampoline; non-tail calls go through ``rt.call``.  A
   call whose head is a known, unshadowed, never-assigned primitive is
@@ -32,9 +44,13 @@ Compilation strategy, node by node:
   interpreter's message);
 * units — ``(unit ...)`` compiles to a maker function over a cell
   namespace: imports and exports draw their cells from the namespace,
-  private definitions get fresh cells, all cells are bound before any
-  right-hand side runs (letrec semantics across the unit body), and
-  the init expression is wrapped in a thunk the invoker trampolines;
+  private definitions get fresh cells (plain Python locals, whose
+  closure cells give letrec semantics, when the program is valuable
+  and the name is never assigned), everything is bound before any
+  right-hand side runs, and the init expression is wrapped in a thunk
+  the invoker trampolines.  A unit whose enclosing scope binds nothing
+  gets its maker hoisted into ``_main``'s prologue, one per distinct
+  unit digest, so identical copies compile once;
 * compounds/invokes — delegated to the runtime, which mirrors the
   interpreter's linking semantics (and its error messages) exactly.
 """
@@ -58,7 +74,9 @@ from repro.lang.ast import (
 )
 from repro.lang.prelude import PRELUDE_NAMES
 from repro.lang.prims import OutputPort, make_global_env
+from repro.lang.terms import try_term_key
 from repro.units.ast import CompoundExpr, InvokeExpr, UnitExpr, unit_children
+from repro.units.valuable import BENIGN_PRIMS, unvaluable_definition
 
 #: Primitive name -> arity (None = variadic), from the one true table.
 PRIM_ARITY: dict[str, int | None] = {
@@ -70,26 +88,54 @@ PRIM_ARITY: dict[str, int | None] = {
 KNOWN_GLOBALS: frozenset[str] = frozenset(PRIM_ARITY) | set(PRELUDE_NAMES)
 
 
-def _setbang_names(program: Expr) -> frozenset[str]:
-    """All names assigned anywhere in the program (unit bodies too).
+def _scan(program: Expr) -> tuple[frozenset[str], bool]:
+    """All names assigned anywhere in the program (unit bodies too),
+    and whether every unit in it is valuable.
 
-    One global over-approximation decides which binders need Cell
-    boxes; everything else stays a plain Python local.
+    The assigned set is one global over-approximation that decides
+    which binders need Cell boxes; everything else stays a plain Python
+    local.  The valuability verdict decides whether unit cells can
+    ever be read unfilled.  It applies the unit rule with every
+    primitive name the program binds or assigns anywhere counted as
+    rebound, since a unit's definitions may call such a name without
+    its binder being in sight.  An undefined export (a check error)
+    also keeps the checks.
     """
-    names: set[str] = set()
+    assigned: set[str] = set()
+    bound: set[str] = set()
+    units: list[UnitExpr] = []
     stack = [program]
     while stack:
         node = stack.pop()
         if isinstance(node, SetBang):
-            names.add(node.name)
+            assigned.add(node.name)
+        elif isinstance(node, Lambda):
+            bound.update(node.params)
+        elif isinstance(node, (Let, Letrec)):
+            bound.update(name for name, _ in node.bindings)
+        elif isinstance(node, UnitExpr):
+            bound.update(node.imports)
+            bound.update(node.defined)
+            units.append(node)
         stack.extend(unit_children(node))
-    return frozenset(names)
+    rebound = BENIGN_PRIMS & (assigned | bound)
+    valuable = all(set(unit.exports) <= set(unit.defined)
+                   and unvaluable_definition(unit, rebound) is None
+                   for unit in units)
+    return frozenset(assigned), valuable
 
 
 def _py_literal(value: object) -> str:
     if isinstance(value, float) and (math.isinf(value) or math.isnan(value)):
         return f"float({str(value)!r})"
     return repr(value)
+
+
+# Scope entries are ``(kind, py)``.  Kinds: ``"l"`` a Python local;
+# ``"v"`` a cell that is filled and never assigned, read in place;
+# ``"b"`` an assigned cell that starts filled, read through a
+# temporary; ``"c"`` a cell that may be read unfilled, read through a
+# temporary and checked.
 
 
 class _Gen:
@@ -101,7 +147,9 @@ class _Gen:
         self.body: list[str] = []
         self.hoisted_globals: dict[str, str] = {}
         self.hoisted_prims: dict[str, str] = {}
-        self.assigned = _setbang_names(program)
+        self.makers: list[str] = []
+        self.maker_names: dict[str, str] = {}
+        self.assigned, self.valuable = _scan(program)
 
     # -- plumbing ---------------------------------------------------------
 
@@ -119,7 +167,7 @@ class _Gen:
         for name, py in self.hoisted_prims.items():
             prologue.append(f"    {py} = rt.prim_fn({name!r})")
         self.body.append(f"    return {value}")
-        return "\n".join(prologue + self.body) + "\n"
+        return "\n".join(prologue + self.makers + self.body) + "\n"
 
     # -- variable access --------------------------------------------------
 
@@ -129,10 +177,13 @@ class _Gen:
             kind, py = binding
             if kind == "l":
                 return py
+            if kind == "v":
+                return f"{py}.value"
             tmp = self.fresh("t")
             self.out(indent, f"{tmp} = {py}.value")
-            self.out(indent, f"if {tmp} is _undef:")
-            self.out(indent + 1, "raise _undef_error()")
+            if kind == "c":
+                self.out(indent, f"if {tmp} is _undef:")
+                self.out(indent + 1, "raise _undef_error()")
             return tmp
         if name in KNOWN_GLOBALS:
             if name not in self.assigned:
@@ -148,16 +199,32 @@ class _Gen:
         self.out(indent, f"raise _unbound_error({name!r})")
         return "None"
 
-    def _bind(self, name: str, value: str, scope: dict, indent: int) -> None:
-        """Bind ``name`` to the evaluated ``value`` expression in place."""
-        if name in self.assigned:
+    def _block(self, e: Let | Letrec, scope: dict, indent: int) -> dict:
+        """Emit a ``let``/``letrec``'s bindings; the body's scope."""
+        inner = dict(scope)
+        if isinstance(e, Let):
+            values = [self.compile_expr(rhs, scope, indent)
+                      for _, rhs in e.bindings]
+            for (name, _), value in zip(e.bindings, values):
+                if name in self.assigned:
+                    cell = self.fresh("c")
+                    self.out(indent, f"{cell} = _Cell({value})")
+                    inner[name] = ("b", cell)
+                else:
+                    local = self.fresh("v")
+                    self.out(indent, f"{local} = {value}")
+                    inner[name] = ("l", local)
+            return inner
+        cells = []
+        for name, _ in e.bindings:
             cell = self.fresh("c")
-            self.out(indent, f"{cell} = _Cell({value})")
-            scope[name] = ("c", cell)
-        else:
-            local = self.fresh("v")
-            self.out(indent, f"{local} = {value}")
-            scope[name] = ("l", local)
+            self.out(indent, f"{cell} = _Cell()")
+            inner[name] = ("c", cell)
+            cells.append(cell)
+        for (_, rhs), cell in zip(e.bindings, cells):
+            value = self.compile_expr(rhs, inner, indent)
+            self.out(indent, f"{cell}.value = {value}")
+        return inner
 
     # -- expressions (non-tail: emit statements, return a py-expr) --------
 
@@ -182,24 +249,8 @@ class _Gen:
             for sub in e.exprs[:-1]:
                 self.compile_expr(sub, scope, indent)
             return self.compile_expr(e.exprs[-1], scope, indent)
-        if isinstance(e, Let):
-            values = [self.compile_expr(rhs, scope, indent)
-                      for _, rhs in e.bindings]
-            inner = dict(scope)
-            for (name, _), value in zip(e.bindings, values):
-                self._bind(name, value, inner, indent)
-            return self.compile_expr(e.body, inner, indent)
-        if isinstance(e, Letrec):
-            inner = dict(scope)
-            cells = []
-            for name, _ in e.bindings:
-                cell = self.fresh("c")
-                self.out(indent, f"{cell} = _Cell()")
-                inner[name] = ("c", cell)
-                cells.append(cell)
-            for (_, rhs), cell in zip(e.bindings, cells):
-                value = self.compile_expr(rhs, inner, indent)
-                self.out(indent, f"{cell}.value = {value}")
+        if isinstance(e, (Let, Letrec)):
+            inner = self._block(e, scope, indent)
             return self.compile_expr(e.body, inner, indent)
         if isinstance(e, SetBang):
             self._setbang(e, scope, indent)
@@ -240,26 +291,8 @@ class _Gen:
                 self.compile_expr(sub, scope, indent)
             self.compile_tail(e.exprs[-1], scope, indent)
             return
-        if isinstance(e, Let):
-            values = [self.compile_expr(rhs, scope, indent)
-                      for _, rhs in e.bindings]
-            inner = dict(scope)
-            for (name, _), value in zip(e.bindings, values):
-                self._bind(name, value, inner, indent)
-            self.compile_tail(e.body, inner, indent)
-            return
-        if isinstance(e, Letrec):
-            inner = dict(scope)
-            cells = []
-            for name, _ in e.bindings:
-                cell = self.fresh("c")
-                self.out(indent, f"{cell} = _Cell()")
-                inner[name] = ("c", cell)
-                cells.append(cell)
-            for (_, rhs), cell in zip(e.bindings, cells):
-                value = self.compile_expr(rhs, inner, indent)
-                self.out(indent, f"{cell}.value = {value}")
-            self.compile_tail(e.body, inner, indent)
+        if isinstance(e, (Let, Letrec)):
+            self.compile_tail(e.body, self._block(e, scope, indent), indent)
             return
         if isinstance(e, App):
             self._app(e, scope, indent, tail=True)
@@ -273,8 +306,9 @@ class _Gen:
 
     # -- the composite forms ----------------------------------------------
 
-    def _lambda(self, e: Lambda, scope: dict, indent: int) -> str:
-        fn = self.fresh("f")
+    def _lambda(self, e: Lambda, scope: dict, indent: int,
+                fn: str | None = None) -> str:
+        fn = fn or self.fresh("f")
         # Duplicate parameter names are legal in the calculus (the last
         # one wins, as with sequential env.define); Python forbids them,
         # so every position gets a fresh name and the scope keeps the
@@ -286,7 +320,7 @@ class _Gen:
             if name in self.assigned:
                 cell = self.fresh("c")
                 self.out(indent + 1, f"{cell} = _Cell({py})")
-                inner[name] = ("c", cell)
+                inner[name] = ("b", cell)
             else:
                 inner[name] = ("l", py)
         self.compile_tail(e.body, inner, indent + 1)
@@ -303,7 +337,7 @@ class _Gen:
             self.out(indent, f"{cell}.value = {value}")
             return
         kind, py = binding
-        assert kind == "c", f"set! target {e.name} not boxed"
+        assert kind in "bc", f"set! target {e.name} not boxed"
         value = self.compile_expr(e.expr, scope, indent)
         self.out(indent, f"{py}.value = {value}")
 
@@ -349,37 +383,66 @@ class _Gen:
         return tmp
 
     def _unit(self, e: UnitExpr, scope: dict, indent: int) -> str:
-        maker = self.fresh("u")
+        call = f"rt.atomic_unit({e.imports!r}, {e.exports!r}, "
+        if scope:
+            maker = self.fresh("u")
+            self._maker(e, scope, indent, maker)
+            return f"{call}{maker})"
+        # Nothing in scope: the maker closes over ``_main``'s prologue
+        # only, so it is hoisted there, once per distinct unit.
+        key = try_term_key(e)
+        maker = self.maker_names.get(key) if key is not None else None
+        if maker is None:
+            maker = self.fresh("u")
+            if key is not None:
+                self.maker_names[key] = maker
+            body, self.body = self.body, []
+            self._maker(e, {}, 1, maker)
+            self.makers.extend(self.body)
+            self.body = body
+        return f"{call}{maker})"
+
+    def _unit_cell(self, name: str) -> str:
+        if not self.valuable:
+            return "c"
+        return "b" if name in self.assigned else "v"
+
+    def _maker(self, e: UnitExpr, scope: dict, indent: int,
+               maker: str) -> None:
         self.out(indent, f"def {maker}(_cells):")
         inner = dict(scope)
         exported = set(e.exports)
         for name in e.imports:
             cell = self.fresh("c")
             self.out(indent + 1, f"{cell} = _cells[{name!r}]")
-            inner[name] = ("c", cell)
-        defn_cells = []
+            inner[name] = (self._unit_cell(name), cell)
+        targets = []
         for name, _ in e.defns:
-            cell = self.fresh("c")
-            if name in exported:
-                self.out(indent + 1, f"{cell} = _cells[{name!r}]")
+            if (self.valuable and name not in exported
+                    and name not in self.assigned):
+                inner[name] = ("l", self.fresh("v"))
             else:
-                self.out(indent + 1, f"{cell} = _Cell()")
-            inner[name] = ("c", cell)
-            defn_cells.append(cell)
+                cell = self.fresh("c")
+                if name in exported:
+                    self.out(indent + 1, f"{cell} = _cells[{name!r}]")
+                else:
+                    self.out(indent + 1, f"{cell} = _Cell()")
+                inner[name] = (self._unit_cell(name), cell)
+            targets.append(inner[name])
         # Every cell is bound before any right-hand side runs: mutual
         # recursion across the unit body, exactly as in Figure 12.
-        for (_, rhs), cell in zip(e.defns, defn_cells):
+        for (_, rhs), (kind, py) in zip(e.defns, targets):
+            if kind == "l" and isinstance(rhs, Lambda):
+                # A private procedure is defined under its local name.
+                self._lambda(rhs, inner, indent + 1, py)
+                continue
             value = self.compile_expr(rhs, inner, indent + 1)
-            self.out(indent + 1, f"{cell}.value = {value}")
+            target = py if kind == "l" else f"{py}.value"
+            self.out(indent + 1, f"{target} = {value}")
         init = self.fresh("f")
         self.out(indent + 1, f"def {init}():")
         self.compile_tail(e.init, inner, indent + 2)
         self.out(indent + 1, f"return {init}")
-        tmp = self.fresh("t")
-        self.out(indent,
-                 f"{tmp} = rt.atomic_unit({e.imports!r}, {e.exports!r}, "
-                 f"{maker})")
-        return tmp
 
     def _invoke_parts(self, e: InvokeExpr, scope: dict,
                       indent: int) -> tuple[str, str]:
@@ -399,6 +462,6 @@ def generate_source(program: Expr) -> str:
     ``_main(rt)`` evaluates the program against a
     :class:`repro.backend.runtime.Runtime` and returns its value.  The
     output is deterministic in the program's shape (locs excluded), so
-    equal ``tk1`` digests yield byte-identical source.
+    equal ``tk2`` digests yield byte-identical source.
     """
     return _Gen(program).module()

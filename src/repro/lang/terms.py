@@ -10,7 +10,11 @@ the rest of the pipeline exploit that:
 
 * :func:`term_key` — a stable content digest of a term's *structure*
   (source locations excluded, exactly like dataclass equality), the
-  key of every content-addressed cache in :mod:`repro.units.cache`;
+  key of every content-addressed cache in :mod:`repro.units.cache`.
+  Each unit, compound and invoke body is serialized into one hasher by
+  an explicit stack, with nested ones entering as their own digests;
+  only those nodes and the node asked memoize ``_tk``, not every
+  ``Var`` and ``Lit`` a cached parse holds;
 * the **caching switch** — ``set_caching``/:func:`caching_enabled`
   and the ``REPRO_NO_TERM_CACHE`` environment variable, the
   ``--no-term-cache`` escape hatch that forces the unmemoized path for
@@ -51,7 +55,7 @@ from repro.units.ast import CompoundExpr, InvokeExpr, UnitExpr
 #: serialization below changes shape: old digests (including on-disk
 #: cache entries, which live under a directory named after this tag)
 #: become unreachable instead of wrong.
-SCHEMA = "tk1"
+SCHEMA = "tk2"
 
 #: The global term-caching switch.  On by default; ``--no-term-cache``
 #: (or the environment variable) turns off memo reads *and* writes, so
@@ -95,14 +99,21 @@ class Unkeyable(TypeError):
 
 _ATOM_TAGS = {int: b"i", float: b"f", str: b"s", bool: b"b"}
 
+#: The nodes that get a digest of their own: a unit, compound or
+#: invoke body is fed to one hasher, and its enclosing body takes only
+#: its digest.  Only these nodes (and the node asked) carry ``_tk``.
+_BOUNDARY = (UnitExpr, CompoundExpr, InvokeExpr)
 
-def _put(h, *parts: str) -> None:
-    """Feed length-prefixed utf-8 strings (no concatenation ambiguity)."""
-    for part in parts:
-        data = part.encode("utf-8")
-        h.update(str(len(data)).encode("ascii"))
-        h.update(b":")
-        h.update(data)
+
+def _s(name: str) -> bytes:
+    """One length-prefixed utf-8 string (no concatenation ambiguity)."""
+    data = name.encode("utf-8")
+    return b"%d:%s" % (len(data), data)
+
+
+def _strs(names) -> bytes:
+    """A counted list of length-prefixed strings."""
+    return b"%d|" % len(names) + b"".join(_s(name) for name in names)
 
 
 def term_key(expr: Expr) -> str:
@@ -117,10 +128,7 @@ def term_key(expr: Expr) -> str:
     cached = getattr(expr, "_tk", None)
     if cached is not None:
         return cached
-    h = hashlib.blake2b(digest_size=16)
-    h.update(SCHEMA.encode("ascii"))
-    _feed(expr, h)
-    key = h.hexdigest()
+    key = _digest(expr)
     if _enabled:
         object.__setattr__(expr, "_tk", key)
     return key
@@ -134,94 +142,113 @@ def try_term_key(expr: Expr) -> str | None:
         return None
 
 
-def _feed_child(expr: Expr, h) -> None:
-    # Child digests are memoized on the child, so digesting a large
-    # term after digesting its parts costs O(1) per part.
-    _put(h, term_key(expr))
+def _hex(parts: list[bytes]) -> str:
+    h = hashlib.blake2b(digest_size=16)
+    h.update(SCHEMA.encode("ascii"))
+    h.update(b"".join(parts))
+    return h.hexdigest()
 
 
-def _feed(expr: Expr, h) -> None:
-    if isinstance(expr, Lit):
-        value = expr.value
-        if value is None:
-            h.update(b"Ln")
-            return
-        tag = _ATOM_TAGS.get(type(value))
-        if tag is None:
-            raise Unkeyable(
-                f"term embeds run-time data and cannot be content-"
-                f"addressed: {type(value).__name__}")
-        h.update(b"L")
-        h.update(tag)
-        _put(h, repr(value))
-        return
-    if isinstance(expr, Var):
-        h.update(b"V")
-        _put(h, expr.name)
-        return
+def _digest(root: Expr) -> str:
+    """Serialize ``root`` prefix-free with an explicit stack: no
+    recursion, so nesting depth is bounded by memory alone.
+
+    The stack holds nodes still to serialize, ready ``bytes``, and
+    ``(boundary, enclosing parts)`` pairs that close a boundary body:
+    its digest then goes into the enclosing body's parts.  A node's
+    parts are pushed in reverse, so they pop in order.
+    """
+    parts: list[bytes] = []
+    stack: list = [root]
+    pop = stack.pop
+    push = stack.append
+    while stack:
+        item = pop()
+        kind = type(item)
+        if kind is bytes:
+            parts.append(item)
+            continue
+        if kind is tuple:
+            node, parts_above = item
+            key = _hex(parts)
+            if _enabled:
+                object.__setattr__(node, "_tk", key)
+            parts = parts_above
+            parts.append(b"#" + key.encode("ascii"))
+            continue
+        if kind is Var:
+            parts.append(b"V" + _s(item.name))
+            continue
+        if kind is Lit:
+            value = item.value
+            if value is None:
+                parts.append(b"Ln")
+                continue
+            tag = _ATOM_TAGS.get(type(value))
+            if tag is None:
+                raise Unkeyable(
+                    f"term embeds run-time data and cannot be content-"
+                    f"addressed: {type(value).__name__}")
+            parts.append(b"L" + tag + _s(repr(value)))
+            continue
+        if item is not root and isinstance(item, _BOUNDARY):
+            cached = getattr(item, "_tk", None)
+            if cached is not None:
+                parts.append(b"#" + cached.encode("ascii"))
+                continue
+            push((item, parts))
+            parts = []
+        _expand(item, parts, push)
+    return _hex(parts)
+
+
+def _expand(expr: Expr, parts: list[bytes], push) -> None:
+    """Emit ``expr``'s header and push its children (reversed)."""
     if isinstance(expr, Lambda):
-        h.update(b"\\")
-        _put(h, *expr.params)
-        _feed_child(expr.body, h)
-        return
-    if isinstance(expr, App):
-        h.update(b"A")
-        _feed_child(expr.fn, h)
-        for arg in expr.args:
-            _feed_child(arg, h)
-        return
-    if isinstance(expr, If):
-        h.update(b"I")
-        for part in (expr.test, expr.then, expr.orelse):
-            _feed_child(part, h)
-        return
-    if isinstance(expr, (Let, Letrec)):
-        h.update(b"T" if isinstance(expr, Let) else b"R")
-        for name, rhs in expr.bindings:
-            _put(h, name)
-            _feed_child(rhs, h)
-        _feed_child(expr.body, h)
-        return
-    if isinstance(expr, SetBang):
-        h.update(b"!")
-        _put(h, expr.name)
-        _feed_child(expr.expr, h)
-        return
-    if isinstance(expr, Seq):
-        h.update(b"Q")
-        for sub in expr.exprs:
-            _feed_child(sub, h)
-        return
-    if isinstance(expr, UnitExpr):
-        h.update(b"U")
-        _put(h, *expr.imports)
-        h.update(b"/")
-        _put(h, *expr.exports)
-        h.update(b"/")
-        for name, rhs in expr.defns:
-            _put(h, name)
-            _feed_child(rhs, h)
-        _feed_child(expr.init, h)
-        return
-    if isinstance(expr, CompoundExpr):
-        h.update(b"C")
-        _put(h, *expr.imports)
-        h.update(b"/")
-        _put(h, *expr.exports)
-        for clause in (expr.first, expr.second):
-            h.update(b"(")
-            _feed_child(clause.expr, h)
-            _put(h, *clause.withs)
-            h.update(b"/")
-            _put(h, *clause.provides)
-            h.update(b")")
-        return
-    if isinstance(expr, InvokeExpr):
-        h.update(b"K")
-        _feed_child(expr.expr, h)
-        for name, rhs in expr.links:
-            _put(h, name)
-            _feed_child(rhs, h)
-        return
-    raise TypeError(f"term_key: unknown expression {expr!r}")
+        parts.append(b"\\" + _strs(expr.params))
+        push(expr.body)
+    elif isinstance(expr, App):
+        parts.append(b"A%d|" % len(expr.args))
+        for arg in reversed(expr.args):
+            push(arg)
+        push(expr.fn)
+    elif isinstance(expr, If):
+        parts.append(b"I")
+        push(expr.orelse)
+        push(expr.then)
+        push(expr.test)
+    elif isinstance(expr, (Let, Letrec)):
+        tag = b"T" if isinstance(expr, Let) else b"R"
+        parts.append(tag + b"%d|" % len(expr.bindings))
+        _push_bindings(expr.bindings, expr.body, push)
+    elif isinstance(expr, SetBang):
+        parts.append(b"!" + _s(expr.name))
+        push(expr.expr)
+    elif isinstance(expr, Seq):
+        parts.append(b"Q%d|" % len(expr.exprs))
+        for sub in reversed(expr.exprs):
+            push(sub)
+    elif isinstance(expr, UnitExpr):
+        parts.append(b"U" + _strs(expr.imports) + _strs(expr.exports)
+                     + b"%d|" % len(expr.defns))
+        _push_bindings(expr.defns, expr.init, push)
+    elif isinstance(expr, CompoundExpr):
+        parts.append(b"C" + _strs(expr.imports) + _strs(expr.exports))
+        for clause in (expr.second, expr.first):
+            push(_strs(clause.withs) + _strs(clause.provides))
+            push(clause.expr)
+    elif isinstance(expr, InvokeExpr):
+        parts.append(b"K")
+        _push_bindings(expr.links, None, push)
+        push(b"%d|" % len(expr.links))
+        push(expr.expr)
+    else:
+        raise TypeError(f"term_key: unknown expression {expr!r}")
 
+
+def _push_bindings(bindings, last: Expr | None, push) -> None:
+    if last is not None:
+        push(last)
+    for name, rhs in reversed(bindings):
+        push(rhs)
+        push(_s(name))

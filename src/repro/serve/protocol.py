@@ -21,7 +21,7 @@ a response echoes the request's ``id`` and carries a ``status``:
 Ops: ``ping`` (liveness), ``metrics`` (one coherent ``metrics1``
 snapshot of the whole process under ``"metrics"``), ``stats`` (cache
 store occupancy), ``flush`` (drop the shared store's memory tiers),
-``invalidate`` (drop everything derived from one ``tk1`` ``digest``:
+``invalidate`` (drop everything derived from one ``tk2`` ``digest``:
 32 lowercase hex characters, anything else is a protocol error),
 ``check`` / ``link`` / ``run`` (the pipeline, executed in a worker
 thread under the request's own budget — see

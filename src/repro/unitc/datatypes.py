@@ -34,11 +34,3 @@ def deconstruct(type_name: str, variant: int, value: object) -> object:
         raise VariantError(
             f"deconstructor for '{type_name}': applied to the wrong variant")
     return value.payload
-
-
-def is_first(type_name: str, value: object) -> bool:
-    """The predicate: true exactly for first-variant instances."""
-    if not isinstance(value, VariantValue) or value.type_name != type_name:
-        raise VariantError(
-            f"predicate for '{type_name}': not an instance of the type")
-    return value.variant == 0

@@ -47,17 +47,17 @@ half-written disk entry (writes go to a unique temp file and
 Eviction and invalidation: every store is size-bounded (LRU); keys
 are content digests, so an entry never goes stale.
 :meth:`CacheStore.invalidate` removes every entry derived from a given
-``tk1`` digest — memory entries whose key embeds the digest and the
+``tk2`` digest — memory entries whose key embeds the digest and the
 digest's pycode disk file — so a serving process can drop one unit's
 results without flushing the world.  :func:`validate_digest` rejects
-anything but a ``tk1`` digest before it can become a disk path.
+anything but a ``tk2`` digest before it can become a disk path.
 
 Every lookup emits exactly one ``cache.hit`` or ``cache.miss`` event
 (guarded, so nothing is built when observability is off) carrying the
 cache's name; LRU evictions emit ``cache.evict``.  The on-disk tier
 (enabled by ``--cache-dir`` or the ``REPRO_CACHE_DIR`` environment
 variable) holds only generated pycode modules, under a directory
-versioned by the digest schema (``v1-tk1/pycode/``), so a schema change
+versioned by the digest schema (``v1-tk2/pycode/``), so a schema change
 strands old entries instead of misreading them.
 """
 
@@ -147,7 +147,7 @@ _TK1_DIGEST = re.compile(r"[0-9a-f]{32}")
 
 
 def validate_digest(digest: object) -> str:
-    """Return ``digest`` if it is a ``tk1`` term digest (exactly 32
+    """Return ``digest`` if it is a ``tk2`` term digest (exactly 32
     lowercase hex characters, as :func:`repro.lang.terms.term_key`
     makes), else raise ``ValueError``: :meth:`CacheStore.invalidate`
     builds a disk path from it, so an absolute path or a ``../`` must
@@ -176,7 +176,7 @@ class CacheStore:
     In multi-process serve mode each worker process instead builds its
     own, and sibling workers share warm state *only* through the
     pycode disk tier: writes are atomic (per-process temp file +
-    ``os.replace``) and keys are content-addressed ``tk1`` digests, so
+    ``os.replace``) and keys are content-addressed ``tk2`` digests, so
     concurrent writers of the same key race to install identical
     bytes — last-replace-wins is correct by construction, with no
     cross-process locking.
@@ -207,12 +207,12 @@ class CacheStore:
         return {cache.name: len(cache) for cache in self.caches}
 
     def invalidate(self, digest: str) -> int:
-        """Drop every entry derived from one ``tk1`` digest.
+        """Drop every entry derived from one ``tk2`` digest.
 
         Covers memory entries whose key embeds the digest (pycode and
         flatten) and the digest's pycode disk file.  Returns how many
         entries were removed; raises ``ValueError`` for anything but a
-        ``tk1`` digest (see :func:`validate_digest`).
+        ``tk2`` digest (see :func:`validate_digest`).
         """
         validate_digest(digest)
         removed = 0
@@ -454,7 +454,7 @@ def cached_pycode(expr: Expr, generate: Callable[[], str]):
     """Generate + compile a program's Python module through the cache.
 
     The memory tier stores the ready code object; the disk tier stores
-    the generated source at ``v1-tk1/pycode/<digest>.py`` (codegen is
+    the generated source at ``v1-tk2/pycode/<digest>.py`` (codegen is
     deterministic in the program's shape, so equal digests mean equal
     source).  Exceptions from ``generate`` or ``compile`` — including
     budget exhaustion surfacing mid-codegen — propagate before

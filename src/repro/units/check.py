@@ -34,7 +34,7 @@ from repro.lang.ast import (
 from repro.lang.errors import CheckError, format_loc
 from repro.obs import span as _obs_span
 from repro.units.ast import CompoundExpr, InvokeExpr, UnitExpr
-from repro.units.valuable import is_valuable
+from repro.units.valuable import unvaluable_definition
 
 
 def _span_fields(expr: Expr, **fields: object) -> dict[str, object]:
@@ -125,9 +125,9 @@ def check_unit(expr: UnitExpr, strict_valuable: bool = True) -> None:
                 raise CheckError(
                     f"unit: exported variable '{name}' is not defined",
                     expr.loc)
-        unstable = frozenset(expr.imports) | frozenset(expr.defined)
+        unvaluable = unvaluable_definition(expr) if strict_valuable else None
         for name, rhs in expr.defns:
-            if strict_valuable and not is_valuable(rhs, unstable):
+            if name == unvaluable:
                 raise CheckError(
                     f"unit: definition of '{name}' is not valuable "
                     f"(it may diverge, have effects, or prematurely "

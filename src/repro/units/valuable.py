@@ -55,12 +55,22 @@ BENIGN_PRIMS = frozenset({
 })
 
 
+def _block_unstable(block: Let | Letrec,
+                    unstable: frozenset[str]) -> frozenset[str]:
+    """The unstable set inside a block's body.  Its bindings are
+    settled there, except that a bound primitive name no longer names
+    the primitive: applying it may run user code."""
+    names = frozenset(name for name, _ in block.bindings)
+    return (unstable - names) | (names & BENIGN_PRIMS)
+
+
 def is_valuable(expr: Expr, unstable: frozenset[str]) -> bool:
     """Decide whether ``expr`` is valuable.
 
     ``unstable`` is the set of variable names that may still be
     undetermined at evaluation time — for a unit definition, the unit's
-    imported and defined variables.
+    imported and defined variables, plus any primitive name that may
+    not denote its primitive there.
     """
     if isinstance(expr, Lit):
         return True
@@ -79,12 +89,12 @@ def is_valuable(expr: Expr, unstable: frozenset[str]) -> bool:
     if isinstance(expr, Seq):
         return all(is_valuable(e, unstable) for e in expr.exprs)
     if isinstance(expr, Let):
-        inner = unstable - {name for name, _ in expr.bindings}
+        inner = _block_unstable(expr, unstable)
         return (all(is_valuable(rhs, unstable) for _, rhs in expr.bindings)
                 and is_valuable(expr.body, inner))
     if isinstance(expr, Letrec):
         # The letrec's own bindings are settled once its body runs.
-        inner = unstable - {name for name, _ in expr.bindings}
+        inner = _block_unstable(expr, unstable)
         return (all(is_valuable(rhs, inner) for _, rhs in expr.bindings)
                 and is_valuable(expr.body, inner))
     if isinstance(expr, App):
@@ -104,3 +114,21 @@ def is_valuable(expr: Expr, unstable: frozenset[str]) -> bool:
         return (is_valuable(expr.first.expr, unstable)
                 and is_valuable(expr.second.expr, unstable))
     return False
+
+
+def unvaluable_definition(unit: UnitExpr,
+                          rebound: frozenset[str] = frozenset()) -> str | None:
+    """The first definition of ``unit`` that is not valuable, or None.
+
+    This is the unit rule of Section 4.1.1: each right-hand side must
+    be valuable with the unit's imported and defined variables
+    unstable.  ``rebound`` holds the primitive names that the program
+    around the unit binds or assigns; an application of one may run
+    user code, so it counts as unstable too.  The checker knows only
+    the unit and passes none; codegen passes the whole program's.
+    """
+    unstable = frozenset(unit.imports) | frozenset(unit.defined) | rebound
+    for name, rhs in unit.defns:
+        if not is_valuable(rhs, unstable):
+            return name
+    return None

@@ -137,6 +137,43 @@ ERROR_PROGRAMS = (
      RunTimeError),
     ("missing-import", "(invoke (unit (import x) (export) x))",
      UnitLinkError),
+    ("unit-forward-reference",
+     "(invoke (unit (import) (export) (define a b) (define b 1) a))",
+     RunTimeError),
+    # A valuable unit's procedure, called while a non-valuable sibling
+    # still runs its definitions, reads that sibling's unset export.
+    ("cross-unit-forward-reference", """
+     (invoke
+       (compound (import) (export)
+         (link ((unit (import x) (export get-x)
+                  (define get-x (lambda () x))
+                  (void))
+                (with x) (provides get-x))
+               ((unit (import get-x) (export x)
+                  (define early (get-x))
+                  (define x 5)
+                  early)
+                (with get-x) (provides x)))))""", RunTimeError),
+    # A rebound primitive name runs user code that reads a later
+    # sibling, whether the binder is local, around the unit or a
+    # top-level assignment, and whether the sibling is private or
+    # exported.
+    ("shadowed-prim-private",
+     "(invoke (unit (import) (export)"
+     " (define a (let ((+ (lambda (x y) b))) (+ 1 2))) (define b 1) a))",
+     RunTimeError),
+    ("shadowed-prim-exported",
+     "(invoke (unit (import) (export b)"
+     " (define a (let ((+ (lambda (x y) b))) (+ 1 2))) (define b 1) a))",
+     RunTimeError),
+    ("prim-bound-around-unit",
+     "((lambda (+) (invoke (unit (import) (export b)"
+     " (define a (+ (lambda () b) 2)) (define b 1) a)))"
+     " (lambda (f y) (f)))", RunTimeError),
+    ("prim-assigned-at-top-level",
+     "(begin (set! + (lambda (f y) (f)))"
+     " (invoke (unit (import) (export)"
+     " (define a (+ (lambda () b) 2)) (define b 1) a)))", RunTimeError),
 )
 
 
@@ -174,6 +211,36 @@ class TestErrorTaxonomyAgrees:
                 got_pycode = _pycode_failure(expr)
         assert got_interp[0] is exc
         assert got_pycode == got_interp
+
+    @pytest.mark.parametrize("name", ["letrec-premature-read",
+                                      "unit-forward-reference",
+                                      "cross-unit-forward-reference",
+                                      "shadowed-prim-private",
+                                      "shadowed-prim-exported",
+                                      "prim-bound-around-unit",
+                                      "prim-assigned-at-top-level"])
+    def test_premature_reads_stay_checked(self, name):
+        """Codegen drops undefined checks only where no read can see an
+        unfilled cell; these programs can, and must still say so."""
+        source = dict((n, src) for n, src, _ in ERROR_PROGRAMS)[name]
+        expr = parse_program(source)
+        check_program(expr, strict_valuable=False)
+        assert _pycode_failure(expr) == (
+            RunTimeError, "reference to undefined variable")
+        assert "raise _undef_error()" in backend.generate_source(expr)
+
+    def test_identical_closed_units_share_one_maker(self):
+        copy = "(unit (import) (export) (define f (lambda () 1)) (f))"
+        expr = parse_program(
+            f"(list (invoke {copy}) (invoke {copy})"
+            f" ((lambda (j) (invoke (unit (import) (export) j))) 2))")
+        source = backend.generate_source(expr)
+        # The two copies share a hoisted maker; the unit under the
+        # lambda closes over its parameter and keeps its own.
+        assert source.count("(_cells):") == 2
+        assert source.count("raise _undef_error()") == 0
+        value, _ = backend.compile_program(expr).run()
+        assert to_write_string(value) == "(1 1 2)"
 
     def test_failed_codegen_is_never_cached(self):
         """A program that dies at run time still caches (its codegen

@@ -88,6 +88,16 @@ class TestValuability:
         check("(unit (import) (export x) (define x (+ 1 2)) 1)")
         check("(unit (import) (export b) (define b (box (list 1 2))) 1)")
 
+    def test_let_shadowed_prim_application_rejected_when_strict(self):
+        # A let-bound '+' is user code; here it reads a later sibling.
+        with pytest.raises(CheckError, match="valuable"):
+            check("""
+                (unit (import) (export)
+                  (define a (let ((+ (lambda (x y) b))) (+ 1 2)))
+                  (define b 1)
+                  a)
+            """)
+
     def test_reference_to_defined_variable_rejected_when_strict(self):
         with pytest.raises(CheckError, match="valuable"):
             check("""

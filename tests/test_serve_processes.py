@@ -257,11 +257,13 @@ class TestProcessModeControlOps:
         """A digest names a cache entry, never a path: an absolute or
         ``../`` digest is a protocol error, and the ``.py`` file it
         points at survives."""
+        from repro.lang import terms
+
         victim = tmp_path / "victim" / "keep.py"
         victim.parent.mkdir()
         victim.write_text("keep = True\n")
         cache_dir = tmp_path / "cache"
-        pycode_dir = cache_dir / "v1-tk1" / "pycode"
+        pycode_dir = cache_dir / f"v1-{terms.SCHEMA}" / "pycode"
         escape = os.path.relpath(victim.with_suffix(""), pycode_dir)
         config = ServeConfig(processes=processes,
                              cache_dir=str(cache_dir),

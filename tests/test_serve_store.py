@@ -11,7 +11,7 @@ on:
   emits exactly one ``cache.hit``/``cache.miss`` event (the
   cache-invariant the differential sweeps rely on);
 * ``invalidate(digest)`` removes the digest's memory entries and its
-  pycode disk file, and accepts nothing but a ``tk1`` digest;
+  pycode disk file, and accepts nothing but a ``tk2`` digest;
 * disk writes are atomic (no ``.tmp`` residue, concurrent writers
   never produce a torn entry) and corrupt entries are unlinked and
   reported as misses;

@@ -7,12 +7,18 @@ every memo path off, and ``fresh_like`` keeps generated names bounded
 no matter how many rename generations a term survives.
 """
 
+import sys
+
 import pytest
 
+from repro import backend
 from repro.lang import terms
-from repro.lang.ast import App, Lambda, Lit, Var
+from repro.lang.ast import App, If, Lambda, Let, Lit, Var
 from repro.lang.parser import parse_program
+from repro.lang.pretty import show
 from repro.lang.subst import fresh_like, free_vars, substitute
+from repro.units.ast import CompoundExpr, UnitExpr, unit_children
+from repro.units.cache import unit_cache_scope
 
 UNIT_SRC = ("(unit (import a) (export f)"
             " (define f (lambda (x) (+ x a))) (void))")
@@ -72,6 +78,91 @@ class TestTermKey:
         terms.term_key(keyed)
         free_vars(keyed)
         assert plain == keyed
+
+
+COMPOUND_SRC = """
+(invoke
+  (compound (import) (export)
+    (link ((unit (import odd?) (export even?)
+             (define even? (lambda (n) (if (zero? n) #t (odd? (- n 1)))))
+             (void))
+           (with odd?) (provides even?))
+          ((unit (import even?) (export odd?)
+             (define odd? (lambda (n) (if (zero? n) #f (even? (- n 1)))))
+             (odd? 7))
+           (with even?) (provides odd?)))))
+"""
+
+
+def _deep(depth: int, leaf: int) -> object:
+    """``depth`` alternating ``if``/``let`` levels, built bottom-up."""
+    expr = Lit(leaf)
+    for i in range(depth):
+        if i % 2:
+            expr = If(Var("t"), expr, Lit(i))
+        else:
+            expr = Let((("x", Lit(i)),), expr)
+    return expr
+
+
+def _all_nodes(root):
+    stack = [root]
+    while stack:
+        node = stack.pop()
+        yield node
+        stack.extend(unit_children(node))
+
+
+class TestTermKeyShape:
+    def test_deep_term_keys_at_the_default_recursion_limit(self):
+        first, again, other = (_deep(50_000, leaf) for leaf in (0, 0, 1))
+        saved = sys.getrecursionlimit()
+        sys.setrecursionlimit(1000)
+        try:
+            assert terms.term_key(first) == terms.term_key(again)
+            assert terms.term_key(first) != terms.term_key(other)
+        finally:
+            sys.setrecursionlimit(saved)
+
+    def test_printed_and_reparsed_copy_shares_the_key(self):
+        original = parse_program(COMPOUND_SRC)
+        copy = parse_program(show(original), origin="printed.scm")
+        assert terms.term_key(copy) == terms.term_key(original)
+
+    def test_only_boundaries_and_the_asked_node_carry_memos(self):
+        program = parse_program(COMPOUND_SRC)
+        key = terms.term_key(program)
+        assert program._tk == key
+        nodes = list(_all_nodes(program))
+        boundaries = [n for n in nodes
+                      if isinstance(n, (UnitExpr, CompoundExpr))]
+        leaves = [n for n in nodes if isinstance(n, (Var, Lit))]
+        assert len(boundaries) == 3 and len(leaves) > 10
+        assert all(getattr(n, "_tk", None) for n in boundaries)
+        assert not any(getattr(n, "_tk", None) for n in leaves)
+        # A boundary's memo is its own key, asked or not.
+        fresh = parse_program(COMPOUND_SRC)
+        assert all(terms.term_key(a) == b._tk for a, b in zip(
+            (n for n in _all_nodes(fresh)
+             if isinstance(n, (UnitExpr, CompoundExpr))), boundaries))
+
+    def test_a_nested_unit_memoizes_its_own_key(self):
+        alone = terms.term_key(parse_program(UNIT_SRC))
+        unit = parse_program(UNIT_SRC)
+        outer = Lambda(("y",), App(Var("f"), (unit,)))
+        assert terms.term_key(outer) != alone
+        assert unit._tk == alone
+
+    def test_invalidate_drops_the_programs_pycode_entry(self, tmp_path):
+        program = parse_program(COMPOUND_SRC)
+        with unit_cache_scope(tmp_path) as store:
+            assert backend.compile_program(program).run()[0] is True
+            key = terms.term_key(program)
+            disk = tmp_path / f"v1-{terms.SCHEMA}" / "pycode"
+            assert terms.SCHEMA == "tk2"
+            assert [p.name for p in disk.iterdir()] == [f"{key}.py"]
+            assert store.invalidate(key) >= 2  # memory + disk
+            assert len(store.pycode) == 0 and not list(disk.iterdir())
 
 
 class TestCachingSwitch:

@@ -337,7 +337,7 @@ PROGRAM_SRC = ("(invoke (unit (import) (export)"
 
 
 class TestPycodeCache:
-    """The codegen cache: generated Python under ``v1-tk1/pycode/``.
+    """The codegen cache: generated Python under ``v1-tk2/pycode/``.
 
     Same contract as every other store — strictly scoped, corrupt
     entries are misses that get unlinked, the layout is schema
