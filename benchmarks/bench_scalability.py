@@ -3,13 +3,14 @@
 The paper positions units for "large and dynamic" programs (DrScheme).
 The bench sweeps chains of N linked units and measures check, link
 (compound construction), and invoke cost — the shape should be close
-to linear in N for invocation; graph compilation is quadratic in the
-worst case because intermediate compounds re-export everything.
+to linear in N for invocation, and graph compilation grows as
+N log N: the balanced lowering links only the names that cross each
+split, ⌈log₂ N⌉ compounds deep.
 """
 
 import pytest
 
-from benchmarks.helpers import chain_program
+from repro.bench import chain_program
 from repro.lang.interp import Interpreter
 from repro.units.check import check_program
 

@@ -5,7 +5,7 @@ compound directly (link at invoke time) vs flattening it first
 (compounds merged at compile time) vs flatten + optimize.
 """
 
-from benchmarks.helpers import chain_program
+from repro.bench import chain_program
 from repro.lang.interp import Interpreter
 from repro.units.linker import flatten, link_and_optimize
 

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 from pathlib import Path
 
-from repro.lang.ast import Expr
 from repro.lang.parser import parse_program
 from repro.linking.graph import LinkGraph
 from repro.obs import Collector, write_metrics
@@ -74,20 +73,6 @@ def chain_graph(n: int) -> LinkGraph:
               (void))
         """)
     return graph
-
-
-def chain_program(n: int) -> Expr:
-    """An invoke of the chain graph plus a driver calling the top."""
-    graph = chain_graph(n)
-    graph.exports = ()
-    graph.add_box("driver", f"(unit (import v{n - 1}) (export) (v{n - 1}))")
-    return parse_program_of(graph)
-
-
-def parse_program_of(graph: LinkGraph) -> Expr:
-    from repro.units.ast import InvokeExpr
-
-    return InvokeExpr(graph.to_compound_expr(), ())
 
 
 def wide_sig(n: int, extra_exports: int = 0) -> Sig:

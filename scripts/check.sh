@@ -16,10 +16,11 @@
 # smoke finds the caches inert, if a warm sharing-064 pass fails to
 # serve its whole flattened subtree from the flatten memo
 # (docs/PERFORMANCE.md, "Link caching"), if the reader's time grows
-# faster than its input (log-log slope above 1.25 from an 86 KB to a
-# 1.3 MB program; docs/PERFORMANCE.md, "Reader"), if a parsed and
-# digested chain-128 AST holds more than 1.5 GC-tracked objects per
-# node (docs/PERFORMANCE.md, "Garbage collection"), if a second pycode
+# faster than its input (log-log slope above 1.25 from the 86 KB
+# deep-128 to the 1.3 MB deep-512 program; docs/PERFORMANCE.md,
+# "Reader"), if a parsed and digested deep-128 AST holds more than 1.5
+# GC-tracked objects per node (docs/PERFORMANCE.md, "Garbage
+# collection"), if a second pycode
 # demo run against the same cache dir misses the codegen store, if
 # codegen's emitted shape drifts (a strict chain-128 with any undefined
 # check, a library-64 without exactly 2 makers, a lenient forward
@@ -134,18 +135,16 @@ echo "==> smoke: incremental linking (sharing-064 warm link)"
 python - <<'EOF'
 from repro import obs
 from repro.bench import sharing_program, _pipeline
-from repro.limits import python_recursion_headroom
 from repro.units.cache import unit_cache_scope
 
 # One scope, two passes: the first primes the stores, the second must
 # flatten the 64-copy sharing program without re-walking it — one
 # flatten-memo hit at the root (the whole flattened subtree) and zero
 # flatten misses.  The optimizer is not memoized: it reruns warm.
-with python_recursion_headroom(40000):
-    with unit_cache_scope():
-        cold = _pipeline(sharing_program(64))
-        with obs.collecting() as col:
-            warm = _pipeline(sharing_program(64))
+with unit_cache_scope():
+    cold = _pipeline(sharing_program(64))
+    with obs.collecting() as col:
+        warm = _pipeline(sharing_program(64))
 
 def count(kind, cache):
     return sum(1 for e in col.events if e.kind == kind
@@ -164,22 +163,20 @@ print(f"link cache ok: {flatten_hits} flatten hit(s), 0 misses; "
       f"link {cold['link']:.3f}s cold -> {warm['link']:.3f}s warm")
 EOF
 
-echo "==> gate: reader scaling (chain-128 vs chain-512 text)"
+echo "==> gate: reader scaling (deep-128 vs deep-512 text)"
 python - <<'EOF'
 import math
 import time
 
 from repro import bench
-from repro.lang.pretty import show
 from repro.lang.sexpr import read_all_sexprs
-from repro.limits import Budget, budget_scope, python_recursion_headroom
+from repro.limits import Budget, budget_scope
 from repro.serve.handlers import MAX_DEPTH
 
-# show() still recurses, so generating the texts needs headroom; the
-# reader does not, and only the read is timed, under the served budget.
-# A ratio of two sizes holds on a noisy host.
-with python_recursion_headroom(40000):
-    small, large = (show(bench.chain_program(n)) for n in (128, 512))
+# The left-deep texts are quadratic in their unit count, so two sizes
+# 15x apart; only the read is timed, under the served budget.  A ratio
+# of two sizes holds on a noisy host.
+small, large = (bench.deep_program(n) for n in (128, 512))
 
 
 def best_read(text):
@@ -205,9 +202,8 @@ import gc
 
 from repro import bench
 from repro.lang.parser import parse_script
-from repro.lang.pretty import show
 from repro.lang.terms import term_key
-from repro.limits import Budget, budget_scope, python_recursion_headroom
+from repro.limits import Budget, budget_scope
 from repro.serve.handlers import MAX_DEPTH
 from tests.test_heap_shape import node_count, tracked_census
 
@@ -215,11 +211,9 @@ from tests.test_heap_shape import node_count, tracked_census
 # its child tuples and nothing else is about 1.25 tracked objects per
 # node; a tracked location or a materialised instance dict per node
 # puts it near 3.  The count is deterministic.
-with python_recursion_headroom(40000):
-    text = show(bench.chain_program(128))
-    with budget_scope(Budget(max_depth=MAX_DEPTH)):
-        expr = parse_script(text)
-    term_key(expr)
+with budget_scope(Budget(max_depth=MAX_DEPTH)):
+    expr = parse_script(bench.deep_program(128))
+term_key(expr)
 gc.collect()
 census = tracked_census(expr)
 nodes = node_count(census)
@@ -273,17 +267,15 @@ import gen
 from repro import bench
 from repro.backend import generate_source
 from repro.lang.parser import parse_program
-from repro.limits import python_recursion_headroom
 from repro.units.check import check_program
 
 # Emitted source is deterministic in the program, so these counts are
 # exact.  A strict program reads no unit cell unfilled: no undefined
 # checks.  Identical unit copies share one hoisted maker.  A lenient
 # forward reference keeps its check.
-with python_recursion_headroom(40000):
-    chain = bench.chain_program(128)
-    check_program(chain)
-    chain_raises = generate_source(chain).count("raise _undef_error()")
+chain = bench.chain_program(128)
+check_program(chain)
+chain_raises = generate_source(chain).count("raise _undef_error()")
 library = parse_program(gen.make_program(
     random.Random(1), "library", 64, "ci").text)
 check_program(library)

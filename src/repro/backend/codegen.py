@@ -75,8 +75,8 @@ from repro.lang.ast import (
 from repro.lang.prelude import PRELUDE_NAMES
 from repro.lang.prims import OutputPort, make_global_env
 from repro.lang.terms import try_term_key
-from repro.units.ast import CompoundExpr, InvokeExpr, UnitExpr, unit_children
-from repro.units.valuable import BENIGN_PRIMS, unvaluable_definition
+from repro.units.ast import CompoundExpr, InvokeExpr, UnitExpr
+from repro.units.valuable import program_bindings, unvaluable_definition
 
 #: Primitive name -> arity (None = variadic), from the one true table.
 PRIM_ARITY: dict[str, int | None] = {
@@ -86,43 +86,6 @@ PRIM_ARITY: dict[str, int | None] = {
 
 #: Every name the runtime installs globally: primitives plus prelude.
 KNOWN_GLOBALS: frozenset[str] = frozenset(PRIM_ARITY) | set(PRELUDE_NAMES)
-
-
-def _scan(program: Expr) -> tuple[frozenset[str], bool]:
-    """All names assigned anywhere in the program (unit bodies too),
-    and whether every unit in it is valuable.
-
-    The assigned set is one global over-approximation that decides
-    which binders need Cell boxes; everything else stays a plain Python
-    local.  The valuability verdict decides whether unit cells can
-    ever be read unfilled.  It applies the unit rule with every
-    primitive name the program binds or assigns anywhere counted as
-    rebound, since a unit's definitions may call such a name without
-    its binder being in sight.  An undefined export (a check error)
-    also keeps the checks.
-    """
-    assigned: set[str] = set()
-    bound: set[str] = set()
-    units: list[UnitExpr] = []
-    stack = [program]
-    while stack:
-        node = stack.pop()
-        if isinstance(node, SetBang):
-            assigned.add(node.name)
-        elif isinstance(node, Lambda):
-            bound.update(node.params)
-        elif isinstance(node, (Let, Letrec)):
-            bound.update(name for name, _ in node.bindings)
-        elif isinstance(node, UnitExpr):
-            bound.update(node.imports)
-            bound.update(node.defined)
-            units.append(node)
-        stack.extend(unit_children(node))
-    rebound = BENIGN_PRIMS & (assigned | bound)
-    valuable = all(set(unit.exports) <= set(unit.defined)
-                   and unvaluable_definition(unit, rebound) is None
-                   for unit in units)
-    return frozenset(assigned), valuable
 
 
 def _py_literal(value: object) -> str:
@@ -149,7 +112,15 @@ class _Gen:
         self.hoisted_prims: dict[str, str] = {}
         self.makers: list[str] = []
         self.maker_names: dict[str, str] = {}
-        self.assigned, self.valuable = _scan(program)
+        # ``assigned`` over-approximates which binders need Cell boxes.
+        # ``valuable`` is the strict checker's verdict, the unit rule
+        # with the program's rebound primitives unstable: when it holds,
+        # no unit cell is read unfilled.  An undefined export (a check
+        # error) keeps the checks too.
+        self.assigned, rebound, units = program_bindings(program)
+        self.valuable = all(set(unit.exports) <= set(unit.defined)
+                            and unvaluable_definition(unit, rebound) is None
+                            for unit in units)
 
     # -- plumbing ---------------------------------------------------------
 

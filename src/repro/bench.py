@@ -22,6 +22,10 @@ Workloads:
   ``bench_scalability.py`` shape): all units distinct, so the win is
   the memo layer (free-variable sets, substitution short-circuits) and
   hash-consed generated code, not content reuse;
+* ``deep-N`` — the same N units nested left-deep, every level
+  re-exporting each name provided so far: Θ(N²) text N compounds
+  deep, so the cost of deep nesting in the reader, checker and linker
+  stays measured;
 * ``sharing-N`` — N copies of one 24-definition library unit linked
   into a program (the paper's footnote-8 code-sharing scenario): a
   warm pass serves the whole flattened program from the flatten memo,
@@ -56,7 +60,7 @@ from typing import Callable, Iterable
 from repro.lang import terms as _terms
 from repro.lang.ast import Expr
 from repro.lang.pretty import show
-from repro.limits import Budget, budget_scope, python_recursion_headroom
+from repro.limits import Budget, budget_scope
 from repro.linking.graph import LinkGraph
 from repro.serve.handlers import MAX_DEPTH, run_pipeline
 from repro.units.ast import InvokeExpr
@@ -87,6 +91,30 @@ def chain_program(n: int) -> Expr:
     graph.add_box("driver",
                   f"(unit (import v{n - 1}) (export) (v{n - 1}))")
     return InvokeExpr(graph.to_compound_expr(), ())
+
+
+def deep_program(n: int) -> str:
+    """The chain-N units nested left-deep, as program text.
+
+    Level k links the nest so far with unit k and re-exports every
+    name provided so far, so the text is Θ(n²) and n compounds deep.
+    It is built as text: no link graph lowers to this shape.
+    """
+    nest = "(unit (import) (export v0) (define v0 (lambda () 1)) (void))"
+    for k in range(1, n + 1):
+        so_far = "".join(f" v{i}" for i in range(k))
+        if k < n:
+            unit, own = (f"(unit (import v{k - 1}) (export v{k}) (define "
+                         f"v{k} (lambda () (+ (v{k - 1}) 1))) (void))",
+                         f" v{k}")
+        else:  # the last unit calls the top of the chain
+            unit, own = f"(unit (import v{k - 1}) (export) (v{k - 1}))", ""
+        nest = (f"(compound (import) (export{so_far}{own}) (link ({nest} "
+                f"(with) (provides{so_far})) ({unit} (with v{k - 1}) "
+                f"(provides{own}))))")
+    return ("(invoke (compound (import) (export) (link ((unit (import) "
+            f"(export) (void)) (with) (provides)) ({nest} (with) "
+            "(provides)))))")
 
 
 def _library_source(defns: int) -> str:
@@ -247,15 +275,6 @@ def run_bench(quick: bool = False, out: str = "BENCH_results.json",
     ``backend`` is the evaluator of every ``run`` request
     (``pycode``, the server's default, or ``interp``).
     """
-    # The 256-unit chains legitimately recurse deeper than CPython's
-    # default stack allowance; take scoped headroom instead of mutating
-    # the process-wide limit for whoever runs after us.
-    with python_recursion_headroom(40000):
-        return _run_bench(quick, out, snapshot, backend)
-
-
-def _run_bench(quick: bool, out: str, snapshot: str | None,
-               backend: str) -> int:
     if quick:
         cases: list[tuple[str, Callable[[], Expr | str]]] = [
             ("chain-032", lambda: chain_program(32)),
@@ -269,6 +288,7 @@ def _run_bench(quick: bool, out: str, snapshot: str | None,
             ("chain-256", lambda: chain_program(256)),
             ("sharing-032", lambda: sharing_program(32)),
             ("sharing-064", lambda: sharing_program(64)),
+            ("deep-128", lambda: deep_program(128)),
         ]
         repeats = 3
     if _phonebook_path().exists():

@@ -374,9 +374,10 @@ _headroom_saved = 0
 def python_recursion_headroom(limit: int) -> Iterator[None]:
     """Temporarily raise the Python recursion limit, then restore it.
 
-    Deeply *nested program structure* (the bench's 256-unit chains)
-    legitimately needs more interpreter stack than CPython's default.
-    This is the sanctioned way to get it: scoped, never lowering an
+    Deeply *nested program structure* legitimately needs more
+    interpreter stack than CPython's default; :func:`budget_scope`
+    takes it for a depth-capped budget.  This is the sanctioned way to
+    get it: scoped, never lowering an
     already-higher limit, and always restoring the previous value —
     unlike a bare ``sys.setrecursionlimit`` call, which mutates global
     state for the rest of the process.

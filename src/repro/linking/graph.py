@@ -9,29 +9,43 @@ and :meth:`LinkGraph.to_compound_expr` compiles the whole graph to a
 nest of the calculus's *binary* compounds — demonstrating that the
 two-unit form of Figure 9 suffices to express arbitrary link graphs.
 
-Compilation folds the boxes left to right:
+Both graphs compile through one lowering, :func:`lower_balanced`. It
+splits the boxes, in insertion order, into balanced halves and links
+the two halves with one compound:
 
-* the accumulated compound exports *everything* provided so far (so
-  later boxes can link against it) and imports whatever is still
-  unsatisfied,
-* a final wrapper restricts the exports to the graph's declared
-  interface, hiding everything else — the Figure 2 ``delete`` hiding
-  falls out of this step,
-* initialization expressions run in box-insertion order (the paper's
-  sequencing rule, applied associatively).
+* each compound imports what its halves need from outside them and
+  exports only the names that its sibling or an enclosing level needs
+  (Racket's ``define-compound-unit/infer`` likewise links only the
+  names that cross), so the nest is ⌈log₂ n⌉ compounds deep and its
+  text grows with the arrows, not with every name provided so far,
+* the root compound takes the graph's declared imports and exports,
+  hiding everything else — the Figure 2 ``delete`` hiding falls out of
+  this step,
+* initialization expressions run in box-insertion order: the split
+  keeps the boxes in order, and the compound rule runs the first
+  constituent's initialization before the second's.
 
 Cyclic dependencies between boxes need no special treatment: the binary
-compound links its two sides mutually recursively, and the fold
-preserves that.
+compound links its two sides mutually recursively, so an arrow may
+cross a split in either direction.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from itertools import chain
 
 from repro.lang.ast import Expr, Lit
 from repro.lang.errors import CheckError
 from repro.lang.parser import parse_program
+from repro.unitc.ast import (
+    TLit,
+    TypedCompoundExpr,
+    TypedInvokeExpr,
+    TypedLinkClause,
+    TypedUnitExpr,
+)
+from repro.unitc.parser import parse_typed_program
 from repro.units.ast import CompoundExpr, InvokeExpr, LinkClause, UnitExpr
 
 
@@ -46,6 +60,57 @@ class Box:
 
 
 _EMPTY_UNIT = UnitExpr((), (), (), Lit(None))
+
+
+def _name(decl) -> str:
+    """A bare name (untyped), or the name of a ``(name, kind or type)``
+    declaration (typed)."""
+    return decl if isinstance(decl, str) else decl[0]
+
+
+def lower_balanced(leaves, imports, exports, empty, compound, clause):
+    """Lower boxes to a balanced nest of binary compounds.
+
+    ``leaves`` are ``(expr, withs, provides)`` triples in box order.
+    They, ``imports`` and ``exports`` hold one tuple of declarations
+    per namespace: names, or types then values.  ``compound`` and
+    ``clause`` build the syntax from those tuples, spread.  The root
+    takes ``imports`` and ``exports``; ``empty`` pads a graph of fewer
+    than two boxes, first, so the last box's initialization still gives
+    the program's result.
+    """
+    def keys(spaces):
+        return {(i, _name(d)) for i, decls in enumerate(spaces) for d in decls}
+
+    def keep(spaces, wanted):
+        # The declarations in ``wanted``, one per name, sorted by name.
+        return tuple(tuple({_name(d): d for d in sorted(decls, key=_name)
+                            if (i, _name(d)) in wanted}.values())
+                     for i, decls in enumerate(spaces))
+
+    def join(part, side):
+        # Every leaf's withs (side 1) or provides (side 2).
+        return tuple(tuple(chain.from_iterable(decls))
+                     for decls in zip(*(leaf[side] for leaf in part)))
+
+    def lower(part, needed, interface=None):
+        # One clause for ``part``, providing only the names in ``needed``.
+        if len(part) == 1:
+            expr, withs, provides = part[0]
+            return expr, withs, keep(provides, needed)
+        used, offered = join(part, 1), join(part, 2)
+        needed = needed & keys(offered)  # keeps ``needed`` O(len(part))
+        left, right = part[:len(part) // 2], part[len(part) // 2:]
+        first = lower(left, needed | keys(join(right, 1)))
+        second = lower(right, needed | keys(join(left, 1)))
+        withs, provides = interface or (
+            keep(used, keys(used) - keys(offered)), keep(offered, needed))
+        clauses = (clause(e, *ws, *ps) for e, ws, ps in (first, second))
+        return compound(*withs, *provides, *clauses), withs, provides
+
+    pad = (empty, ((),) * len(imports), ((),) * len(imports))
+    leaves = [pad] * (2 - len(leaves)) + list(leaves)
+    return lower(leaves, keys(exports), (imports, exports))[0]
 
 
 class LinkGraph:
@@ -130,33 +195,11 @@ class LinkGraph:
     def to_compound_expr(self) -> Expr:
         """Compile the graph to nested binary ``compound`` expressions."""
         self.validate()
-        if not self.boxes:
-            return _EMPTY_UNIT
-        acc_expr: Expr = self.boxes[0].expr
-        acc_withs = tuple(self.boxes[0].withs)
-        acc_provides = tuple(self.boxes[0].provides)
-        needs = set(acc_withs)
-        provides = set(acc_provides)
-        for box in self.boxes[1:]:
-            needs |= set(box.withs)
-            provides |= set(box.provides)
-            step_imports = tuple(sorted(needs - provides))
-            step_exports = acc_provides + box.provides
-            acc_expr = CompoundExpr(
-                imports=step_imports,
-                exports=step_exports,
-                first=LinkClause(acc_expr, acc_withs, acc_provides),
-                second=LinkClause(box.expr, box.withs, box.provides))
-            acc_withs = step_imports
-            acc_provides = step_exports
-        # Final wrapper: restrict exports to the declared interface.
-        # The empty unit goes first so the program's result is the last
-        # real box's initialization value.
-        return CompoundExpr(
-            imports=self.imports,
-            exports=self.exports,
-            first=LinkClause(_EMPTY_UNIT, (), ()),
-            second=LinkClause(acc_expr, acc_withs, self.exports))
+        return lower_balanced(
+            [(box.expr, (box.withs,), (box.provides,))
+             for box in self.boxes],
+            (self.imports,), (self.exports,), _EMPTY_UNIT,
+            CompoundExpr, LinkClause)
 
     def to_invoke_expr(self, links: dict[str, Expr] | None = None) -> Expr:
         """Compile to an ``invoke`` of the compiled compound."""
@@ -217,14 +260,13 @@ def _row(text: str, width: int = 31) -> str:
 
 @dataclass
 class TypedBox:
-    """A node in a typed link graph, carrying full declarations."""
+    """A node in a typed link graph: ``withs`` and ``provides`` are each
+    a pair of declaration tuples, types then values."""
 
     name: str
     expr: object  # a TExpr
-    with_types: tuple[tuple[str, object], ...]
-    with_values: tuple[tuple[str, object], ...]
-    prov_types: tuple[tuple[str, object], ...]
-    prov_values: tuple[tuple[str, object], ...]
+    withs: tuple[tuple[tuple[str, object], ...], ...]
+    provides: tuple[tuple[tuple[str, object], ...], ...]
 
 
 class TypedLinkGraph:
@@ -246,9 +288,6 @@ class TypedLinkGraph:
                 prov_types=None, prov_values=None) -> TypedBox:
         """Add a typed unit box; clauses default to a literal unit's
         interface."""
-        from repro.unitc.ast import TypedUnitExpr
-        from repro.unitc.parser import parse_typed_program
-
         if isinstance(unit, str):
             unit = parse_typed_program(unit)
         if any(clause is None for clause in
@@ -261,62 +300,20 @@ class TypedLinkGraph:
             with_values = unit.vimports if with_values is None else with_values
             prov_types = unit.texports if prov_types is None else prov_types
             prov_values = unit.vexports if prov_values is None else prov_values
-        box = TypedBox(name, unit, tuple(with_types), tuple(with_values),
-                       tuple(prov_types), tuple(prov_values))
+        box = TypedBox(name, unit, (tuple(with_types), tuple(with_values)),
+                       (tuple(prov_types), tuple(prov_values)))
         self.boxes.append(box)
         return box
 
     def to_compound_expr(self):
         """Compile to nested ``compound/t`` expressions."""
-        from repro.unitc.ast import (
-            TLit,
-            TypedCompoundExpr,
-            TypedLinkClause,
-            TypedUnitExpr,
-        )
-
-        empty = TypedUnitExpr((), (), (), (), (), (), (), TLit(None))
-        if not self.boxes:
-            return empty
-        first = self.boxes[0]
-        acc_expr = first.expr
-        acc_wt, acc_wv = first.with_types, first.with_values
-        acc_pt, acc_pv = first.prov_types, first.prov_values
-        need_t = dict(acc_wt)
-        need_v = dict(acc_wv)
-        have_t = dict(acc_pt)
-        have_v = dict(acc_pv)
-        for box in self.boxes[1:]:
-            need_t.update(dict(box.with_types))
-            need_v.update(dict(box.with_values))
-            have_t.update(dict(box.prov_types))
-            have_v.update(dict(box.prov_values))
-            step_it = tuple(sorted(
-                (n, k) for n, k in need_t.items() if n not in have_t))
-            step_iv = tuple(sorted(
-                (n, t) for n, t in need_v.items() if n not in have_v))
-            step_et = acc_pt + box.prov_types
-            step_ev = acc_pv + box.prov_values
-            acc_expr = TypedCompoundExpr(
-                timports=step_it, vimports=step_iv,
-                texports=step_et, vexports=step_ev,
-                first=TypedLinkClause(acc_expr, acc_wt, acc_wv,
-                                      acc_pt, acc_pv),
-                second=TypedLinkClause(box.expr, box.with_types,
-                                       box.with_values, box.prov_types,
-                                       box.prov_values))
-            acc_wt, acc_wv = step_it, step_iv
-            acc_pt, acc_pv = step_et, step_ev
-        return TypedCompoundExpr(
-            timports=self.timports, vimports=self.vimports,
-            texports=self.texports, vexports=self.vexports,
-            first=TypedLinkClause(empty, (), (), (), ()),
-            second=TypedLinkClause(acc_expr, acc_wt, acc_wv,
-                                   self.texports, self.vexports))
+        return lower_balanced(
+            [(box.expr, box.withs, box.provides) for box in self.boxes],
+            (self.timports, self.vimports), (self.texports, self.vexports),
+            TypedUnitExpr((), (), (), (), (), (), (), TLit(None)),
+            TypedCompoundExpr, TypedLinkClause)
 
     def to_invoke_expr(self, tlinks=(), vlinks=()):
         """Compile to an ``invoke/t`` of the compiled compound."""
-        from repro.unitc.ast import TypedInvokeExpr
-
         return TypedInvokeExpr(self.to_compound_expr(),
                                tuple(tlinks), tuple(vlinks))

@@ -236,7 +236,6 @@ def run_chaos_sweep(verbose: bool = True) -> dict[str, object]:
 
     from repro.bench import chain_program, sharing_program
     from repro.lang.pretty import show
-    from repro.limits import python_recursion_headroom
     from repro.obs import MetricsRegistry
     from repro.serve.client import ServeClient
     from repro.serve.handlers import execute_request
@@ -250,62 +249,71 @@ def run_chaos_sweep(verbose: bool = True) -> dict[str, object]:
         return execute_request(req, CacheStore(), MetricsRegistry(),
                                ServeConfig())
 
-    with python_recursion_headroom(40000):
-        healthy_reqs = {
-            "sharing-008": {"op": "run", "backend": "pycode",
-                            "source": show(sharing_program(8))},
-            "chain-016": {"op": "run", "backend": "pycode",
-                          "source": show(chain_program(16))},
-            "greet": {"op": "run", "backend": "pycode",
-                      "source": _GREET, "archive": True},
-        }
-        expected = {}
-        for name, fields in healthy_reqs.items():
-            resp = one_shot(fields)
-            assert resp["status"] == "ok", \
-                f"one-shot {name} failed: {resp}"
-            expected[name] = (resp["value"], resp.get("output", ""))
+    healthy_reqs = {
+        "sharing-008": {"op": "run", "backend": "pycode",
+                        "source": show(sharing_program(8))},
+        "chain-016": {"op": "run", "backend": "pycode",
+                      "source": show(chain_program(16))},
+        "greet": {"op": "run", "backend": "pycode",
+                  "source": _GREET, "archive": True},
+    }
+    expected = {}
+    for name, fields in healthy_reqs.items():
+        resp = one_shot(fields)
+        assert resp["status"] == "ok", \
+            f"one-shot {name} failed: {resp}"
+        expected[name] = (resp["value"], resp.get("output", ""))
 
-        # Per-fault chaos request + what it must do.  link-exhaust
-        # uses the `link` op on its *own* program so the merge is cold
-        # (a warm flatten memo would skip the hook site) — and `link`
-        # output is gensym-sensitive, so only its status is asserted.
-        rounds = {
-            "cache-io": {"fields": dict(healthy_reqs["sharing-008"],
-                                        chaos=["cache-io"]),
-                         "status": "ok",
-                         "value": expected["sharing-008"][0]},
-            "slow-load": {"fields": dict(healthy_reqs["greet"],
-                                         chaos=["slow-load"],
-                                         chaos_slow_s=0.5,
-                                         deadline_s=0.1),
-                          "status": "error",
-                          "error_type": "BudgetExceeded"},
-            "poison": {"fields": dict(healthy_reqs["greet"],
-                                      chaos=["poison"]),
-                       "status": "error",
-                       "error_type": "ArchiveError"},
-            "link-exhaust": {"fields": {"op": "link",
-                                        "source":
-                                            show(sharing_program(9)),
-                                        "chaos": ["link-exhaust"]},
-                             "status": "error",
-                             "error_type": "BudgetExceeded"},
-        }
+    # Per-fault chaos request + what it must do.  link-exhaust
+    # uses the `link` op on its *own* program so the merge is cold
+    # (a warm flatten memo would skip the hook site) — and `link`
+    # output is gensym-sensitive, so only its status is asserted.
+    rounds = {
+        "cache-io": {"fields": dict(healthy_reqs["sharing-008"],
+                                    chaos=["cache-io"]),
+                     "status": "ok",
+                     "value": expected["sharing-008"][0]},
+        "slow-load": {"fields": dict(healthy_reqs["greet"],
+                                     chaos=["slow-load"],
+                                     chaos_slow_s=0.5,
+                                     deadline_s=0.1),
+                      "status": "error",
+                      "error_type": "BudgetExceeded"},
+        "poison": {"fields": dict(healthy_reqs["greet"],
+                                  chaos=["poison"]),
+                   "status": "error",
+                   "error_type": "ArchiveError"},
+        "link-exhaust": {"fields": {"op": "link",
+                                    "source":
+                                        show(sharing_program(9)),
+                                    "chaos": ["link-exhaust"]},
+                         "status": "error",
+                         "error_type": "BudgetExceeded"},
+    }
 
-        summary: dict[str, object] = {}
+    # Fifth fault: worker-kill needs real worker processes (in a
+    # thread-mode server the hook is inert by design), so it gets its
+    # own round against a 2-process server.
+    servers = [
+        (dict(workers=4, queue_limit=16), rounds),
+        (dict(processes=2), {"worker-kill": {
+            "fields": dict(healthy_reqs["greet"], chaos=["worker-kill"]),
+            "status": "error", "error_type": "WorkerCrashed"}}),
+    ]
+    summary: dict[str, object] = {}
+    for server_fields, server_rounds in servers:
         registry = MetricsRegistry()
         with tempfile.TemporaryDirectory() as cache_dir:
-            config = ServeConfig(workers=4, queue_limit=16,
-                                 cache_dir=cache_dir, allow_chaos=True,
-                                 default_deadline_s=60.0)
+            config = ServeConfig(cache_dir=cache_dir, allow_chaos=True,
+                                 default_deadline_s=60.0, **server_fields)
             with ServerThread(config, registry=registry) as st:
 
                 def send(fields: dict[str, object]) -> dict[str, object]:
-                    with ServeClient(st.host, st.port) as client:
+                    with ServeClient(st.host, st.port,
+                                     timeout_s=120.0) as client:
                         return client.request(**fields)
 
-                for fault, round_spec in rounds.items():
+                for fault, round_spec in server_rounds.items():
                     jobs = [round_spec["fields"]] \
                         + list(healthy_reqs.values())
                     with ThreadPoolExecutor(len(jobs)) as pool:
@@ -353,69 +361,21 @@ def run_chaos_sweep(verbose: bool = True) -> dict[str, object]:
                               f"{chaos_resp['status']}; "
                               f"{len(healthy_reqs)} healthy requests "
                               f"unaffected; store clean")
-        snap = registry.snapshot()
-        dropped = snap["counters"].get("trace.dropped", 0)
+        counters = registry.snapshot()["counters"]
+        dropped = counters.get("trace.dropped", 0)
         assert dropped == 0, f"server dropped {dropped} trace events"
+    # ``counters`` is the 2-process server's, the last one run.
+    deaths = counters.get("serve.worker_deaths", 0)
+    respawns = counters.get("serve.worker_respawns", 0)
+    assert deaths >= 1, "worker-kill: no worker death recorded"
+    assert respawns >= 1, "worker-kill: no respawn recorded"
+    summary["worker-kill"].update(deaths=deaths, respawns=respawns)
+    if verbose:
+        print(f"chaos worker-kill: {deaths} death(s), "
+              f"{respawns} respawn(s)")
 
-        # Fifth fault: worker-kill needs real worker processes (in a
-        # thread-mode server the hook is inert by design), so it gets
-        # its own 2-process round.
-        kill_registry = MetricsRegistry()
-        with tempfile.TemporaryDirectory() as cache_dir:
-            config = ServeConfig(processes=2, cache_dir=cache_dir,
-                                 allow_chaos=True,
-                                 default_deadline_s=60.0)
-            with ServerThread(config, registry=kill_registry) as st:
-
-                def send(fields: dict[str, object]) -> dict[str, object]:
-                    with ServeClient(st.host, st.port,
-                                     timeout_s=120.0) as client:
-                        return client.request(**fields)
-
-                kill_fields = dict(healthy_reqs["greet"],
-                                   chaos=["worker-kill"])
-                jobs = [kill_fields] + list(healthy_reqs.values())
-                with ThreadPoolExecutor(len(jobs)) as pool:
-                    responses = list(pool.map(send, jobs))
-                chaos_resp = responses[0]
-                assert chaos_resp["status"] == "error", \
-                    f"worker-kill: chaos request got {chaos_resp}"
-                got = chaos_resp["error"]["type"]
-                assert got == "WorkerCrashed", \
-                    f"worker-kill: expected WorkerCrashed, got {got}"
-                for name, resp in zip(healthy_reqs, responses[1:]):
-                    assert resp["status"] == "ok", \
-                        f"worker-kill: healthy {name} degraded: {resp}"
-                    got = (resp["value"], resp.get("output", ""))
-                    assert got == expected[name], \
-                        f"worker-kill: healthy {name} diverged from " \
-                        f"one-shot: {got} != {expected[name]}"
-                after = send({k: v for k, v in kill_fields.items()
-                              if k != "chaos"})
-                assert after["status"] == "ok", \
-                    f"worker-kill: post-fault request failed: {after}"
-                got = (after["value"], after.get("output", ""))
-                assert got == expected["greet"], \
-                    "worker-kill: post-fault value diverged"
-        kill_snap = kill_registry.snapshot()
-        deaths = kill_snap["counters"].get("serve.worker_deaths", 0)
-        respawns = kill_snap["counters"].get("serve.worker_respawns", 0)
-        assert deaths >= 1, "worker-kill: no worker death recorded"
-        assert respawns >= 1, "worker-kill: no respawn recorded"
-        dropped = kill_snap["counters"].get("trace.dropped", 0)
-        assert dropped == 0, \
-            f"process server dropped {dropped} trace events"
-        summary["worker-kill"] = {"chaos_status": "error",
-                                  "healthy_ok": len(healthy_reqs),
-                                  "deaths": deaths,
-                                  "respawns": respawns}
-        if verbose:
-            print(f"chaos worker-kill: injected -> WorkerCrashed; "
-                  f"{len(healthy_reqs)} healthy requests unaffected; "
-                  f"{deaths} death(s), {respawns} respawn(s)")
-
-        summary["dropped"] = 0
-        if verbose:
-            print(f"chaos sweep ok: {len(FAULTS)} faults, "
-                  f"isolation + differential asserts green, 0 dropped")
-        return summary
+    summary["dropped"] = 0
+    if verbose:
+        print(f"chaos sweep ok: {len(FAULTS)} faults, "
+              f"isolation + differential asserts green, 0 dropped")
+    return summary

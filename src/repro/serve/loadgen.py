@@ -63,78 +63,76 @@ def run_serve_bench(quick: bool = False,
     """
     from repro.bench import chain_program, percentiles, sharing_program
     from repro.lang.pretty import show
-    from repro.limits import python_recursion_headroom
 
     cold_repeats = 2 if quick else 3
     warm_repeats = 8 if quick else 20
     clients = 4 if quick else 8
     per_client = 5 if quick else 15
 
-    with python_recursion_headroom(40000):
-        cases = {
-            ("serve-sharing-016" if quick else "serve-sharing-032"):
-                show(sharing_program(16 if quick else 32)),
-            ("serve-chain-032" if quick else "serve-chain-064"):
-                show(chain_program(32 if quick else 64)),
-        }
-        config = ServeConfig(workers=4, processes=processes,
-                             queue_limit=clients * per_client,
-                             default_deadline_s=120.0,
-                             max_deadline_s=300.0)
-        results: dict[str, object] = {}
-        with ServerThread(config) as st:
-            for name, source in cases.items():
-                fields = {"op": "run", "source": source,
-                          "backend": "pycode"}
-                with ServeClient(st.host, st.port,
-                                 timeout_s=300.0) as client:
-                    cold = []
-                    for _ in range(cold_repeats):
-                        client.request("flush")
-                        cold.append(_timed_request(client, fields))
-                    warm = [_timed_request(client, fields)
-                            for _ in range(warm_repeats)]
-                case = {"cold": percentiles(cold),
-                        "warm": percentiles(warm)}
-                case["p50_speedup"] = round(
-                    case["cold"]["p50"] / max(case["warm"]["p50"], 1e-9), 1)
-                results[name] = case
-
-            # Throughput: concurrent clients over the warm store,
-            # smallest case (contention, not single-request cost).
-            source = next(iter(cases.values()))
+    cases = {
+        ("serve-sharing-016" if quick else "serve-sharing-032"):
+            show(sharing_program(16 if quick else 32)),
+        ("serve-chain-032" if quick else "serve-chain-064"):
+            show(chain_program(32 if quick else 64)),
+    }
+    config = ServeConfig(workers=4, processes=processes,
+                         queue_limit=clients * per_client,
+                         default_deadline_s=120.0,
+                         max_deadline_s=300.0)
+    results: dict[str, object] = {}
+    with ServerThread(config) as st:
+        for name, source in cases.items():
             fields = {"op": "run", "source": source,
                       "backend": "pycode"}
-            latencies: list[float] = []
-            lock = threading.Lock()
+            with ServeClient(st.host, st.port,
+                             timeout_s=300.0) as client:
+                cold = []
+                for _ in range(cold_repeats):
+                    client.request("flush")
+                    cold.append(_timed_request(client, fields))
+                warm = [_timed_request(client, fields)
+                        for _ in range(warm_repeats)]
+            case = {"cold": percentiles(cold),
+                    "warm": percentiles(warm)}
+            case["p50_speedup"] = round(
+                case["cold"]["p50"] / max(case["warm"]["p50"], 1e-9), 1)
+            results[name] = case
 
-            def worker() -> None:
-                with ServeClient(st.host, st.port,
-                                 timeout_s=300.0) as client:
-                    mine = [_timed_request(client, fields)
-                            for _ in range(per_client)]
-                with lock:
-                    latencies.extend(mine)
+        # Throughput: concurrent clients over the warm store,
+        # smallest case (contention, not single-request cost).
+        source = next(iter(cases.values()))
+        fields = {"op": "run", "source": source,
+                  "backend": "pycode"}
+        latencies: list[float] = []
+        lock = threading.Lock()
 
-            threads = [threading.Thread(target=worker)
-                       for _ in range(clients)]
-            t_wall = time.perf_counter()
-            for thread in threads:
-                thread.start()
-            for thread in threads:
-                thread.join()
-            wall = time.perf_counter() - t_wall
-            total = clients * per_client
-            mode = "processes" if processes else "threads"
-            throughput = percentiles(latencies)
-            throughput.update({
-                "clients": clients,
-                "requests": total,
-                "wall_s": round(wall, 3),
-                "rps": round(total / wall, 1),
-                "mode": mode,
-                "workers": config.pool_size,
-            })
+        def worker() -> None:
+            with ServeClient(st.host, st.port,
+                             timeout_s=300.0) as client:
+                mine = [_timed_request(client, fields)
+                        for _ in range(per_client)]
+            with lock:
+                latencies.extend(mine)
+
+        threads = [threading.Thread(target=worker)
+                   for _ in range(clients)]
+        t_wall = time.perf_counter()
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join()
+        wall = time.perf_counter() - t_wall
+        total = clients * per_client
+        mode = "processes" if processes else "threads"
+        throughput = percentiles(latencies)
+        throughput.update({
+            "clients": clients,
+            "requests": total,
+            "wall_s": round(wall, 3),
+            "rps": round(total / wall, 1),
+            "mode": mode,
+            "workers": config.pool_size,
+        })
 
     payload = {
         "schema": "serve-bench2",

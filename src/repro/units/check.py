@@ -34,7 +34,7 @@ from repro.lang.ast import (
 from repro.lang.errors import CheckError, format_loc
 from repro.obs import span as _obs_span
 from repro.units.ast import CompoundExpr, InvokeExpr, UnitExpr
-from repro.units.valuable import unvaluable_definition
+from repro.units.valuable import program_bindings, unvaluable_definition
 
 
 def _span_fields(expr: Expr, **fields: object) -> dict[str, object]:
@@ -128,12 +128,16 @@ def check_unit(expr: UnitExpr, strict_valuable: bool = True) -> None:
         unvaluable = unvaluable_definition(expr) if strict_valuable else None
         for name, rhs in expr.defns:
             if name == unvaluable:
-                raise CheckError(
-                    f"unit: definition of '{name}' is not valuable "
-                    f"(it may diverge, have effects, or prematurely "
-                    f"reference a unit variable)", expr.loc)
+                raise _not_valuable(name, expr)
             check_expr(rhs, strict_valuable)
         check_expr(expr.init, strict_valuable)
+
+
+def _not_valuable(name: str, unit: UnitExpr) -> CheckError:
+    return CheckError(
+        f"unit: definition of '{name}' is not valuable (it may diverge, "
+        f"have effects, or prematurely reference a unit variable)",
+        unit.loc)
 
 
 def check_compound(expr: CompoundExpr, strict_valuable: bool = True) -> None:
@@ -201,6 +205,18 @@ def check_invoke(expr: InvokeExpr, strict_valuable: bool = True) -> None:
 
 
 def check_program(expr: Expr, strict_valuable: bool = True) -> Expr:
-    """Check a whole program and return it (for pipeline-style use)."""
+    """Check a whole program and return it (for pipeline-style use).
+
+    Strictly, the unit rule also counts the primitives the program
+    rebinds anywhere as unstable (:func:`program_bindings`): code around
+    a unit can bind ``+`` to a procedure that reads a later definition.
+    """
     check_expr(expr, strict_valuable)
+    if strict_valuable:
+        _, rebound, units = program_bindings(expr)
+        if rebound:
+            for unit in units:
+                name = unvaluable_definition(unit, rebound)
+                if name is not None:
+                    raise _not_valuable(name, unit)
     return expr

@@ -36,7 +36,7 @@ from repro.lang.ast import (
     SetBang,
     Var,
 )
-from repro.units.ast import CompoundExpr, InvokeExpr, UnitExpr
+from repro.units.ast import CompoundExpr, InvokeExpr, UnitExpr, unit_children
 
 #: Primitives whose application to valuable arguments is valuable:
 #: they terminate and have no observable effects (allocation included,
@@ -116,16 +116,48 @@ def is_valuable(expr: Expr, unstable: frozenset[str]) -> bool:
     return False
 
 
+def program_bindings(
+        program: Expr) -> tuple[frozenset[str], frozenset[str],
+                                list[UnitExpr]]:
+    """The names ``program`` assigns, its rebound primitives, and its
+    units, in one walk.  A primitive is rebound when the program binds
+    (``lambda``, ``let``/``letrec``, unit import or definition) or
+    assigns its name anywhere: a unit may call it out of its binder's
+    sight, so the unit rule counts it unstable."""
+    assigned: set[str] = set()
+    bound: set[str] = set()
+    units: list[UnitExpr] = []
+    stack = [program]
+    while stack:
+        node = stack.pop()
+        kind = type(node)  # exact classes, commonest first: this is hot
+        if kind is Var or kind is Lit:
+            continue
+        if kind is App:
+            stack.append(node.fn)
+            stack.extend(node.args)
+            continue
+        if kind is SetBang:
+            assigned.add(node.name)
+        elif kind is Lambda:
+            bound.update(node.params)
+        elif kind is Let or kind is Letrec:
+            bound.update(name for name, _ in node.bindings)
+        elif kind is UnitExpr:
+            bound.update(node.imports + node.defined)
+            units.append(node)
+        stack.extend(unit_children(node))
+    return frozenset(assigned), BENIGN_PRIMS & (assigned | bound), units
+
+
 def unvaluable_definition(unit: UnitExpr,
                           rebound: frozenset[str] = frozenset()) -> str | None:
     """The first definition of ``unit`` that is not valuable, or None.
 
     This is the unit rule of Section 4.1.1: each right-hand side must
     be valuable with the unit's imported and defined variables
-    unstable.  ``rebound`` holds the primitive names that the program
-    around the unit binds or assigns; an application of one may run
-    user code, so it counts as unstable too.  The checker knows only
-    the unit and passes none; codegen passes the whole program's.
+    unstable, and the ``rebound`` primitives (:func:`program_bindings`)
+    too: an application of one may run user code.
     """
     unstable = frozenset(unit.imports) | frozenset(unit.defined) | rebound
     for name, rhs in unit.defns:

@@ -98,6 +98,36 @@ class TestValuability:
                   a)
             """)
 
+    # The unit applies '+' to a thunk that reads a later sibling.  Code
+    # around the unit rebinds '+' to call that thunk, and the unit
+    # cannot see the binder: the program-wide rebound set must reject
+    # it, since running it reads 'b' before it is defined.
+    PRIM_REBOUND_OUTSIDE = {
+        "lambda": "((lambda (+) {unit}) (lambda (f y) (f)))",
+        "let": "(let ((+ (lambda (f y) (f)))) {unit})",
+        "top-level-set!": "(begin (set! + (lambda (f y) (f))) {unit})",
+        "enclosing-unit": """
+            (invoke (unit (import) (export)
+              (define + (lambda (f y) (f)))
+              (define run (lambda () {unit}))
+              (run)))""",
+    }
+    REBOUND_UNIT = ("(invoke (unit (import) (export)"
+                    " (define a (+ (lambda () b) 2)) (define b 1) a))")
+
+    @pytest.mark.parametrize("where", sorted(PRIM_REBOUND_OUTSIDE))
+    def test_prim_rebound_outside_unit_rejected_when_strict(self, where):
+        from repro.lang.errors import RunTimeError
+        from repro.lang.interp import run_program
+
+        text = self.PRIM_REBOUND_OUTSIDE[where].format(
+            unit=self.REBOUND_UNIT)
+        with pytest.raises(CheckError, match="'a' is not valuable"):
+            check(text)
+        check(text, strict=False)
+        with pytest.raises(RunTimeError, match="undefined variable"):
+            run_program(text)
+
     def test_reference_to_defined_variable_rejected_when_strict(self):
         with pytest.raises(CheckError, match="valuable"):
             check("""

@@ -1,5 +1,8 @@
 """Tests for the assembly layer: n-ary compounds, renaming, link graphs."""
 
+import math
+import sys
+
 import pytest
 
 from repro.lang.errors import CheckError, TypeCheckError, UnitLinkError
@@ -8,6 +11,7 @@ from repro.lang.parser import parse_program
 from repro.linking.compound_n import NClause, NCompoundUnitValue, rename_unit
 from repro.linking.graph import LinkGraph, TypedLinkGraph
 from repro.linking.signatures import SignatureRegistry
+from repro.units.ast import CompoundExpr
 from repro.units.check import check_program
 
 
@@ -247,9 +251,10 @@ class TestLinkGraph:
         unit = interp.eval(graph.to_compound_expr())
         assert interp.invoke(unit) is True
 
-    def test_init_order_is_box_order(self):
+    @pytest.mark.parametrize("boxes", range(1, 10))
+    def test_init_order_is_box_order(self, boxes):
         graph = LinkGraph()
-        for index in range(4):
+        for index in range(boxes):
             graph.add_box(f"b{index}", f"""
                 (unit (import) (export) (display "{index}"))
             """)
@@ -258,7 +263,7 @@ class TestLinkGraph:
         interp = Interpreter()
         unit = interp.eval(graph.to_compound_expr())
         interp.invoke(unit)
-        assert interp.port.getvalue() == "0123"
+        assert interp.port.getvalue() == "".join(map(str, range(boxes)))
 
     def test_render(self):
         graph = self.phonebook_like()
@@ -331,6 +336,151 @@ class TestTypedLinkGraph:
         """)
         with pytest.raises(TypeCheckError):
             run_typed_expr(graph.to_invoke_expr())
+
+    @pytest.mark.parametrize("boxes", range(1, 10))
+    def test_init_order_is_box_order(self, boxes):
+        from repro.unitc.run import run_typed_expr
+
+        graph = TypedLinkGraph()
+        for index in range(boxes):
+            graph.add_box(f"b{index}", f"""
+                (unit/t (import) (export) (display "{index}"))
+            """)
+        _, _, output = run_typed_expr(graph.to_invoke_expr())
+        assert output == "".join(map(str, range(boxes)))
+
+
+def _skip_graph_source(n: int, typed: bool) -> list[tuple[str, str]]:
+    """Box sources for ``n`` units: unit k provides ``v{k}`` and
+    imports ``v{k-1}`` and ``v{k//2}``, so arrows reach across
+    splits, and the last unit's initialization calls its own.  Each
+    unit also exports a ``spare{k}`` that nothing links."""
+    boxes = []
+    for k in range(n):
+        deps = sorted({k - 1, k // 2}) if k else []
+        rhs = "1"
+        for d in deps:
+            rhs = f"(+ {rhs} (v{d}))"
+        init = f"(v{k})" if k == n - 1 else "(void)"
+        if typed:
+            imports = " ".join(f"(val v{d} (-> int))" for d in deps)
+            boxes.append((f"u{k}", f"""
+                (unit/t (import {imports})
+                        (export (val v{k} (-> int)) (val spare{k} int))
+                  (define v{k} (-> int) (lambda () {rhs}))
+                  (define spare{k} int 0)
+                  {init})"""))
+        else:
+            imports = " ".join(f"v{d}" for d in deps)
+            boxes.append((f"u{k}", f"""
+                (unit (import {imports}) (export v{k} spare{k})
+                  (define v{k} (lambda () {rhs}))
+                  (define spare{k} 0)
+                  {init})"""))
+    return boxes
+
+
+def _skip_graph_value(n: int) -> int:
+    values: list[int] = []
+    for k in range(n):
+        values.append(1 + sum(values[d] for d in sorted({k - 1, k // 2}))
+                      if k else 1)
+    return values[-1]
+
+
+def _keys(*spaces) -> set[tuple[int, str]]:
+    return {(i, d if isinstance(d, str) else d[0])
+            for i, decls in enumerate(spaces) for d in decls}
+
+
+def _nest_depth(expr, exports: set[tuple[int, str]]) -> int:
+    """Compound nesting depth of ``expr``, asserting on the way that
+    every clause provides only names its sibling or the enclosing
+    compound's exports need."""
+    from repro.unitc.ast import TypedCompoundExpr
+
+    if isinstance(expr, CompoundExpr):
+        clauses = [(c.expr, _keys(c.withs), _keys(c.provides))
+                   for c in (expr.first, expr.second)]
+    elif isinstance(expr, TypedCompoundExpr):
+        clauses = [(c.expr, _keys(c.with_types, c.with_values),
+                    _keys(c.prov_types, c.prov_values))
+                   for c in (expr.first, expr.second)]
+    else:
+        return 0
+    depths = []
+    for index, (child, _, provides) in enumerate(clauses):
+        sibling_withs = clauses[1 - index][1]
+        assert provides <= sibling_withs | exports, (provides, exports)
+        depths.append(_nest_depth(child, provides))
+    return 1 + max(depths)
+
+
+SHAPE_SIZES = [*range(1, 10), 64]
+
+
+class TestBalancedLowering:
+    """Both graphs lower to a balanced nest that links only the names
+    crossing each split."""
+
+    @pytest.mark.parametrize("n", SHAPE_SIZES)
+    def test_untyped_shape_and_value(self, n):
+        from repro.lang.interp import run_program
+        from repro.lang.pretty import show
+
+        graph = LinkGraph(exports=(f"v{n - 1}",))
+        for name, source in _skip_graph_source(n, typed=False):
+            graph.add_box(name, source)
+        expr = graph.to_compound_expr()
+        assert expr.imports == () and expr.exports == (f"v{n - 1}",)
+        depth = _nest_depth(expr, _keys(expr.exports))
+        assert depth <= math.ceil(math.log2(n)) + 1
+        program = graph.to_invoke_expr()
+        check_program(program)
+        assert run_program(show(program))[0] == _skip_graph_value(n)
+
+    @pytest.mark.parametrize("n", SHAPE_SIZES)
+    def test_typed_shape_and_value(self, n):
+        from repro.types.types import INT, Arrow
+        from repro.unitc.run import run_typed_expr
+
+        export = (f"v{n - 1}", Arrow((), INT))
+        graph = TypedLinkGraph(vexports=(export,))
+        for name, source in _skip_graph_source(n, typed=True):
+            graph.add_box(name, source)
+        expr = graph.to_compound_expr()
+        assert expr.vexports == (export,)
+        depth = _nest_depth(expr, _keys((), expr.vexports))
+        assert depth <= math.ceil(math.log2(n)) + 1
+        assert run_typed_expr(graph.to_invoke_expr())[0] == \
+            _skip_graph_value(n)
+
+    def test_chain_512_runs_at_default_recursion_limit(self):
+        from repro import bench
+        from repro.lang.pretty import show
+
+        before = sys.getrecursionlimit()
+        sys.setrecursionlimit(1000)
+        try:
+            text = show(bench.chain_program(512))
+            assert len(text) <= 100_000
+            stages = bench._pipeline(text)
+        finally:
+            sys.setrecursionlimit(before)
+        assert stages["total"] > 0
+
+    def test_deep_program_is_left_deep(self):
+        from repro import bench
+        from repro.lang.interp import run_program
+        from repro.lang.parser import parse_program
+
+        program = parse_program(bench.deep_program(6))
+        depth, node = 0, program.expr.second.expr
+        while isinstance(node, CompoundExpr):
+            depth += 1
+            node = node.first.expr
+        assert depth == 6
+        assert run_program(bench.deep_program(6))[0] == 6
 
 
 class TestSignatureRegistry:
