@@ -114,13 +114,13 @@ class _Gen:
         self.maker_names: dict[str, str] = {}
         # ``assigned`` over-approximates which binders need Cell boxes.
         # ``valuable`` is the strict checker's verdict, the unit rule
-        # with the program's rebound primitives unstable: when it holds,
+        # with each unit's rebound primitives unstable: when it holds,
         # no unit cell is read unfilled.  An undefined export (a check
         # error) keeps the checks too.
-        self.assigned, rebound, units = program_bindings(program)
+        self.assigned, units = program_bindings(program)
         self.valuable = all(set(unit.exports) <= set(unit.defined)
                             and unvaluable_definition(unit, rebound) is None
-                            for unit in units)
+                            for unit, rebound in units)
 
     # -- plumbing ---------------------------------------------------------
 

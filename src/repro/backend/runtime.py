@@ -5,7 +5,10 @@ flow over cells and closures; everything with observable semantics —
 application dispatch, budget charges, unit linking, prelude globals,
 error messages — lives here, mirroring :mod:`repro.lang.interp`
 behaviour for behaviour so the corpus differential sweep can hold the
-two to byte-equal results.
+two to byte-equal results.  Unit linking is not mirrored but shared:
+compounds, their cell wiring and the invoke cells come from
+:mod:`repro.lang.values`, and only the atomic unit (a compiled maker)
+is this backend's own.
 
 The trampoline: generated code returns a :class:`_Tail` thunk for any
 application in tail position, and :meth:`Runtime.call` unwinds the
@@ -19,14 +22,16 @@ from __future__ import annotations
 from types import FunctionType
 
 from repro import limits as _limits
-from repro.lang.errors import RunTimeError, UnitLinkError
-from repro.lang.interp import _check_clause, _require_unit
+from repro.lang.errors import RunTimeError
 from repro.lang.prims import OutputPort, make_global_env
 from repro.lang.values import (
     UNDEFINED,
     Cell,
+    CompoundUnitValue,
     Primitive,
     UnitValue,
+    invoke_cells,
+    link_compound,
     pairs_to_list,
 )
 from repro.obs import current as _obs_current
@@ -104,55 +109,9 @@ class PyAtomicUnit(UnitValue):
         self.exports = exports
         self.maker = maker
 
-    def instantiate(self, rt: "Runtime", cells: dict[str, Cell]) -> list:
+    def instantiate(self, host: "Runtime", cells: dict[str, Cell]) -> list:
+        """The run is the init thunk the maker returns."""
         return [self.maker(cells)]
-
-
-class PyCompoundUnit(UnitValue):
-    """Two linked constituents; mirrors ``CompoundUnitValue`` linking."""
-
-    def __init__(self, imports, exports, first, second,
-                 first_clause, second_clause):
-        self.imports = imports
-        self.exports = exports
-        self.first = first
-        self.second = second
-        self.first_clause = first_clause
-        self.second_clause = second_clause
-
-    def instantiate(self, rt: "Runtime", cells: dict[str, Cell]) -> list:
-        namespace: dict[str, Cell] = {}
-        imported = set(self.imports)
-        exported = set(self.exports)
-        for name in self.imports:
-            namespace[name] = cells[name]
-        for name in (set(self.first_clause[1])
-                     | set(self.second_clause[1])):
-            namespace[name] = cells[name] if name in cells \
-                and name in exported else Cell()
-        runs: list = []
-        col = _obs_current()
-        for constituent, clause in ((self.first, self.first_clause),
-                                    (self.second, self.second_clause)):
-            sub_cells: dict[str, Cell] = {}
-            for name in constituent.imports:
-                if name not in namespace:
-                    raise UnitLinkError(
-                        f"compound: constituent import '{name}' has no "
-                        f"source among the compound's imports and the "
-                        f"other constituent's provides")
-                sub_cells[name] = namespace[name]
-                if col is not None:
-                    col.emit("link.edge", {
-                        "name": name,
-                        "source": ("import" if name in imported
-                                   else "provides")})
-            provided = set(clause[1])
-            for name in constituent.exports:
-                sub_cells[name] = namespace[name] if name in provided \
-                    else Cell()
-            runs.extend(constituent.instantiate(rt, sub_cells))
-        return runs
 
 
 # The prelude program is itself compiled by the backend, once per
@@ -229,41 +188,19 @@ class Runtime:
 
     def compound_unit(self, imports, exports, first, second,
                       first_withs, first_provides,
-                      second_withs, second_provides) -> PyCompoundUnit:
+                      second_withs, second_provides) -> CompoundUnitValue:
+        clauses = (first_withs, first_provides), \
+            (second_withs, second_provides)
         col = _obs_current()
         if col is None:
-            return self._compound_unit_inner(
-                imports, exports, first, second, first_withs,
-                first_provides, second_withs, second_provides)
+            return link_compound(imports, exports, first, second, *clauses)
         with col.span("link.compound", {
                 "imports": len(imports), "exports": len(exports)}):
-            return self._compound_unit_inner(
-                imports, exports, first, second, first_withs,
-                first_provides, second_withs, second_provides)
-
-    def _compound_unit_inner(self, imports, exports, first, second,
-                             first_withs, first_provides,
-                             second_withs, second_provides):
-        _require_unit(first, "compound")
-        _require_unit(second, "compound")
-        _check_clause(first, first_withs, first_provides)
-        _check_clause(second, second_withs, second_provides)
-        return PyCompoundUnit(imports, exports, first, second,
-                              (first_withs, first_provides),
-                              (second_withs, second_provides))
+            return link_compound(imports, exports, first, second, *clauses)
 
     def _prepare(self, unit, links):
-        _require_unit(unit, "invoke")
-        supplied: dict[str, Cell] = {}
-        for name, value in links:
-            supplied[name] = Cell(value)
-        missing = [name for name in unit.imports if name not in supplied]
-        if missing:
-            raise UnitLinkError(
-                "invoke: unit imports not satisfied: " + ", ".join(missing))
-        cells = {name: supplied[name] for name in unit.imports}
-        for name in unit.exports:
-            cells[name] = Cell()
+        cells = invoke_cells(unit, {name: Cell(value)
+                                    for name, value in links})
         return unit.instantiate(self, cells)
 
     def invoke_tail(self, unit, links) -> _Tail:

@@ -9,7 +9,7 @@ send them, in three configurations:
 
 * **uncached** — the term-performance layer off (what
   ``--no-term-cache`` runs): no memoized free variables, no
-  substitution short-circuits, no hash-consing, no content caches;
+  substitution short-circuits, no content caches;
 * **cached (cold)** — the default configuration with *empty* caches,
   what the first invocation on a program pays;
 * **cached (warm)** — the same, after a priming pass populated the
@@ -20,8 +20,8 @@ Workloads:
 
 * ``chain-N`` — N linked units, each importing its predecessor (the
   ``bench_scalability.py`` shape): all units distinct, so the win is
-  the memo layer (free-variable sets, substitution short-circuits) and
-  hash-consed generated code, not content reuse;
+  the memo layer (free-variable sets, substitution short-circuits),
+  not content reuse;
 * ``deep-N`` — the same N units nested left-deep, every level
   re-exporting each name provided so far: Θ(N²) text N compounds
   deep, so the cost of deep nesting in the reader, checker and linker

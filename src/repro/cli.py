@@ -30,7 +30,7 @@ Metrics toolkit (consumes ``metrics1`` snapshots from
     python -m repro metrics report M.json ...    # merge snapshots, render
                                                  # p50/p90/p99 latency tables
     python -m repro metrics report M.json --prometheus
-    python -m repro metrics diff BASE CUR        # histogram count/latency
+    python -m repro metrics diff BASE CUR        # event/histogram count
                                                  # regression gate
 
 Programs are single expressions in the s-expression surface syntax
@@ -57,16 +57,16 @@ Caching (any subcommand)::
     python -m repro bench --quick
 
 Every invocation runs with the term-performance layer on (memoized
-free variables and substitution, hash-consing) and a fresh
-content-addressed unit cache (check/parse/optimizer/codegen reuse for
-structurally identical units — linking is incremental: flattened
-compound subtrees are memoized on their digests; ``cache.*`` trace
-events report hits).  ``--no-term-cache`` disables all of it — the
-escape hatch and the differential-testing baseline.  ``--cache-dir
-DIR`` (or the ``REPRO_CACHE_DIR`` environment variable) adds an
-on-disk tier so generated pycode modules persist across invocations.
-``bench`` measures the
-difference and writes ``BENCH_results.json`` (docs/PERFORMANCE.md).
+free variables and substitution short-circuits) and a fresh
+content-addressed cache store: parsed text with its check verdict,
+generated pycode modules, and the flatten memo (linking is
+incremental: flattened compound subtrees are memoized on their
+digests); ``cache.*`` trace events report hits.  ``--no-term-cache``
+disables all of it — the escape hatch and the differential-testing
+baseline.  ``--cache-dir DIR`` (or the ``REPRO_CACHE_DIR`` environment
+variable) adds an on-disk tier so generated pycode modules persist
+across invocations.  ``bench`` measures the difference and writes
+``BENCH_results.json`` (docs/PERFORMANCE.md).
 
 Resource governance (docs/ROBUSTNESS.md)::
 
@@ -239,9 +239,9 @@ def cmd_metrics_report(args: argparse.Namespace) -> int:
 
 
 def cmd_metrics_diff(args: argparse.Namespace) -> int:
-    """Diff two metrics snapshots: histogram observation counts gate
-    by default; p50/p99 latency gates when ``--latency-threshold`` is
-    given.  Exit 1 on regression."""
+    """Diff two metrics snapshots: event counters and histogram
+    observation counts gate; p50/p99 are shown for information.  Exit 1
+    on regression."""
     from repro import obs
 
     try:
@@ -251,9 +251,7 @@ def cmd_metrics_diff(args: argparse.Namespace) -> int:
         print(f"error: {err}", file=sys.stderr)
         return 2
     text, failed = obs.render_metrics_diff(
-        base, cur, count_threshold=args.threshold,
-        latency_threshold=args.latency_threshold,
-        latency_floor=args.latency_floor, strict=args.strict)
+        base, cur, count_threshold=args.threshold, strict=args.strict)
     print(text)
     return 1 if failed else 0
 
@@ -622,8 +620,8 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--profile", action="store_true",
                         help="print a cProfile report on stderr")
     parser.add_argument("--no-term-cache", action="store_true",
-                        help="disable term memoization, hash-consing, and "
-                             "the content-addressed unit caches")
+                        help="disable term memoization and the "
+                             "content-addressed caches")
     parser.add_argument("--cache-dir", metavar="DIR", default=None,
                         help="persist generated pycode modules under DIR "
                              "across invocations (default: "
@@ -748,20 +746,14 @@ def build_parser() -> argparse.ArgumentParser:
                               "of tables")
     mreport.set_defaults(fn=cmd_metrics_report)
     mdiff = msub.add_parser(
-        "diff", help="histogram count/latency regression gate between "
-                     "two snapshots; nonzero exit on regression")
+        "diff", help="event and histogram count regression gate between "
+                     "two snapshots (p50/p99 shown, not gated); nonzero "
+                     "exit on regression")
     mdiff.add_argument("base", help="baseline metrics1 JSON")
     mdiff.add_argument("current", help="current metrics1 JSON")
     mdiff.add_argument("--threshold", type=float, default=0.10,
                        help="relative growth tolerated per histogram "
                             "count (0.10 = 10%%)")
-    mdiff.add_argument("--latency-threshold", type=float, default=None,
-                       help="also gate p50/p99 growth past this relative "
-                            "threshold (off by default: wall-clock "
-                            "percentiles are machine-dependent)")
-    mdiff.add_argument("--latency-floor", type=float, default=0.001,
-                       help="ignore latency regressions below this many "
-                            "seconds (default: 1ms)")
     mdiff.add_argument("--strict", action="store_true",
                        help="also fail when histograms appear or vanish")
     mdiff.set_defaults(fn=cmd_metrics_diff)

@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 from repro.lang.errors import LangError, UnitLinkError
 from repro.lang.interp import Interpreter
 from repro.lang.parser import parse_program
-from repro.lang.values import Primitive, UnitValue
+from repro.lang.values import Cell, Primitive, UnitValue, invoke_cells
 from repro.units.check import check_expr
 
 
@@ -177,19 +177,11 @@ class DrScheme:
     def _instantiate_tool(self, tool: UnitValue,
                           capabilities: dict[str, object]) -> dict[str, object]:
         """Invoke a tool unit and collect its exported values."""
-        from repro.lang.values import Cell
-
-        cells = {}
-        for import_name in tool.imports:
-            cells[import_name] = Cell(capabilities[import_name])
-        export_cells = {}
-        for export_name in tool.exports:
-            cell = Cell()
-            cells[export_name] = cell
-            export_cells[export_name] = cell
-        for init_env, init in self.interp.instantiate(tool, cells):
+        cells = invoke_cells(tool, {name: Cell(value) for name, value
+                                    in capabilities.items()})
+        for init_env, init in tool.instantiate(self.interp, cells):
             self.interp.eval(init, init_env)
-        return {name: cell.get() for name, cell in export_cells.items()}
+        return {name: cells[name].get() for name in tool.exports}
 
     # ------------------------------------------------------------------
     # Introspection

@@ -6,10 +6,13 @@ This is the library's fast execution path.  Units are evaluated to
 follows the implementation model of Section 4.1.6: imported and
 exported variables are first-class reference cells created externally
 and threaded into the unit, whose "function body" fills the export
-cells by evaluating its definitions.  Mutual recursion across unit
-boundaries works because valuable definition expressions never
-dereference a cell until they are applied, by which time linking has
-filled every cell.
+cells by evaluating its definitions.  The linking and cell wiring
+(:meth:`~repro.lang.values.UnitValue.instantiate`,
+:func:`~repro.lang.values.link_compound`,
+:func:`~repro.lang.values.invoke_cells`) are shared with the compiled
+backend's runtime.  Mutual recursion across unit boundaries works
+because valuable definition expressions never dereference a cell until
+they are applied, by which time linking has filled every cell.
 
 The small-step *rewriting* semantics (the paper's formal account,
 Figures 8 and 11) lives in :mod:`repro.lang.machine` and
@@ -18,6 +21,8 @@ agree on every program in the corpus.
 """
 
 from __future__ import annotations
+
+from contextlib import nullcontext
 
 from repro.lang.ast import (
     App,
@@ -31,11 +36,12 @@ from repro.lang.ast import (
     SetBang,
     Var,
 )
-from repro.lang.errors import RunTimeError, UnitLinkError
+from repro.lang.errors import RunTimeError
 from repro.lang.prims import OutputPort, make_global_env
 from repro import limits as _limits
 from repro.obs import current as _obs_current
 from repro.lang.values import (
+    UNDEFINED,
     AtomicUnitValue,
     Cell,
     Closure,
@@ -43,7 +49,9 @@ from repro.lang.values import (
     Env,
     Primitive,
     UnitValue,
+    invoke_cells,
     is_true,
+    link_compound,
 )
 from repro.units.ast import CompoundExpr, InvokeExpr, UnitExpr
 
@@ -125,9 +133,8 @@ class Interpreter:
                 continue
             if isinstance(expr, Letrec):
                 child = env.child()
-                cells = [child.define(name, None) for name, _ in expr.bindings]
-                for cell in cells:
-                    cell.value = _undefined()
+                cells = [child.define(name, UNDEFINED)
+                         for name, _ in expr.bindings]
                 for (name, rhs), cell in zip(expr.bindings, cells):
                     cell.set(self._eval(rhs, child))
                 env, expr = child, expr.body
@@ -198,12 +205,9 @@ class Interpreter:
                              env: Env) -> CompoundUnitValue:
         first = self._eval(expr.first.expr, env)
         second = self._eval(expr.second.expr, env)
-        _require_unit(first, "compound")
-        _require_unit(second, "compound")
-        _check_clause(first, expr.first.withs, expr.first.provides)
-        _check_clause(second, expr.second.withs, expr.second.provides)
-        return CompoundUnitValue(expr.imports, expr.exports, first, second,
-                                 expr.first, expr.second)
+        return link_compound(expr.imports, expr.exports, first, second,
+                             (expr.first.withs, expr.first.provides),
+                             (expr.second.withs, expr.second.provides))
 
     def _prepare_invoke(self, expr: InvokeExpr, env: Env):
         col = _obs_current()
@@ -216,21 +220,13 @@ class Interpreter:
 
     def _prepare_invoke_inner(self, expr: InvokeExpr, env: Env, sp):
         unit = self._eval(expr.expr, env)
-        _require_unit(unit, "invoke")
-        supplied: dict[str, Cell] = {}
-        for name, rhs in expr.links:
-            supplied[name] = Cell(self._eval(rhs, env))
-        missing = [name for name in unit.imports if name not in supplied]
-        if missing:
-            raise UnitLinkError(
-                "invoke: unit imports not satisfied: " + ", ".join(missing))
-        cells = {name: supplied[name] for name in unit.imports}
-        for name in unit.exports:
-            cells[name] = Cell()
+        supplied = {name: Cell(self._eval(rhs, env))
+                    for name, rhs in expr.links}
+        cells = invoke_cells(unit, supplied)
         if sp is not None:
             sp.annotate(imports=len(unit.imports),
                         exports=len(unit.exports))
-        runs = self.instantiate(unit, cells)
+        runs = unit.instantiate(self, cells)
         (last_env, last_init) = runs[-1]
         return runs[:-1], last_env, last_init
 
@@ -242,140 +238,18 @@ class Interpreter:
         of the unit's (last) initialization expression, as specified in
         Section 3.2.
         """
-        _require_unit(unit, "invoke")
-        imports = imports or {}
-        missing = [name for name in unit.imports if name not in imports]
-        if missing:
-            raise UnitLinkError(
-                "invoke: unit imports not satisfied: " + ", ".join(missing))
-        cells = {name: Cell(imports[name]) for name in unit.imports}
-        for name in unit.exports:
-            cells[name] = Cell()
+        cells = invoke_cells(unit, {name: Cell(value) for name, value
+                                    in (imports or {}).items()})
         col = _obs_current()
-        if col is None:
-            result: object = None
-            for init_env, init in self.instantiate(unit, cells):
-                result = self._eval(init, init_env)
-            return result
         # The span contains instantiation (link.edge events) and the
         # initialization expressions' evaluation.
-        with col.span("unit.invoke", {
+        with (nullcontext() if col is None else col.span("unit.invoke", {
                 "imports": len(unit.imports),
-                "exports": len(unit.exports)}):
-            result = None
-            for init_env, init in self.instantiate(unit, cells):
+                "exports": len(unit.exports)})):
+            result: object = None
+            for init_env, init in unit.instantiate(self, cells):
                 result = self._eval(init, init_env)
             return result
-
-    def instantiate(self, unit: UnitValue,
-                    cells: dict[str, Cell]) -> list[tuple[Env, Expr]]:
-        """Instantiate a unit against externally created cells.
-
-        ``cells`` must provide a cell for each of the unit's imports and
-        exports.  Instantiation evaluates the unit's definitions
-        (filling export cells) and returns the ordered list of
-        ``(environment, initialization expression)`` pairs to run —
-        one per atomic constituent, reflecting the sequencing rule of
-        Section 4.1.2.
-        """
-        if isinstance(unit, AtomicUnitValue):
-            return self._instantiate_atomic(unit, cells)
-        if isinstance(unit, CompoundUnitValue):
-            return self._instantiate_compound(unit, cells)
-        custom = getattr(unit, "instantiate_with", None)
-        if custom is not None:
-            # Extension point used by the MzScheme-style linking layer
-            # (n-ary compounds and internal/external renaming,
-            # repro.linking.compound_n).
-            return custom(self, cells)
-        raise RunTimeError(f"not an instantiable unit: {unit!r}")
-
-    def _instantiate_atomic(self, unit: AtomicUnitValue,
-                            cells: dict[str, Cell]) -> list[tuple[Env, Expr]]:
-        syntax: UnitExpr = unit.syntax
-        env = unit.env.child()
-        exports = set(syntax.exports)
-        for name in syntax.imports:
-            env.bind_cell(name, cells[name])
-        defined_cells: list[Cell] = []
-        for name, _ in syntax.defns:
-            cell = cells[name] if name in exports else Cell()
-            env.bind_cell(name, cell)
-            defined_cells.append(cell)
-        for (name, rhs), cell in zip(syntax.defns, defined_cells):
-            cell.set(self._eval(rhs, env))
-        return [(env, syntax.init)]
-
-    def _instantiate_compound(self, unit: CompoundUnitValue,
-                              cells: dict[str, Cell]) -> list[tuple[Env, Expr]]:
-        # Port resolution is batched per sibling against one shared
-        # namespace, with the membership tests on sets — wide fan-in
-        # compounds resolve each import in O(1) rather than rescanning
-        # the interface tuples.
-        namespace: dict[str, Cell] = {}
-        imported = set(unit.imports)
-        exported = set(unit.exports)
-        for name in unit.imports:
-            namespace[name] = cells[name]
-        for name in (set(unit.first_clause.provides)
-                     | set(unit.second_clause.provides)):
-            namespace[name] = cells[name] if name in cells \
-                and name in exported else Cell()
-        runs: list[tuple[Env, Expr]] = []
-        col = _obs_current()
-        for constituent, clause in ((unit.first, unit.first_clause),
-                                    (unit.second, unit.second_clause)):
-            sub_cells: dict[str, Cell] = {}
-            for name in constituent.imports:
-                if name not in namespace:
-                    raise UnitLinkError(
-                        f"compound: constituent import '{name}' has no "
-                        f"source among the compound's imports and the "
-                        f"other constituent's provides")
-                sub_cells[name] = namespace[name]
-                if col is not None:
-                    col.emit("link.edge", {
-                        "name": name,
-                        "source": ("import" if name in imported
-                                   else "provides")})
-            provided = set(clause.provides)
-            for name in constituent.exports:
-                sub_cells[name] = namespace[name] if name in provided else Cell()
-            runs.extend(self.instantiate(constituent, sub_cells))
-        return runs
-
-
-def _undefined():
-    from repro.lang.values import UNDEFINED
-
-    return UNDEFINED
-
-
-def _require_unit(value: object, who: str) -> None:
-    if not isinstance(value, UnitValue):
-        raise RunTimeError(f"{who}: expected a unit, got {value!r}")
-
-
-def _check_clause(unit: UnitValue, withs: tuple[str, ...],
-                  provides: tuple[str, ...]) -> None:
-    """Enforce Figure 11's side conditions at link time: a constituent
-    must need no more than the ``with`` names and provide at least the
-    ``provides`` names."""
-    with_set = set(withs)
-    extra = [name for name in unit.imports if name not in with_set]
-    if extra:
-        raise UnitLinkError(
-            "compound: constituent imports exceed its with clause: "
-            + ", ".join(extra))
-    export_set = set(unit.exports)
-    missing = [name for name in provides if name not in export_set]
-    if missing:
-        raise UnitLinkError(
-            "compound: constituent does not provide: " + ", ".join(missing))
-    col = _obs_current()
-    if col is not None:
-        col.emit("check.clause", {
-            "withs": len(withs), "provides": len(provides)})
 
 
 def run_program(text: str, origin: str = "<string>") -> tuple[object, str]:

@@ -15,7 +15,8 @@ import types
 from dataclasses import dataclass, field
 from typing import Callable, Iterator
 
-from repro.lang.errors import RunTimeError
+from repro.lang.errors import RunTimeError, UnitLinkError
+from repro.obs import current as _obs_current
 
 
 class _Undefined:
@@ -235,10 +236,24 @@ class UnitValue:
     and "no operation can look inside a unit value" (Section 4.1.1).
     The attributes here describe only the interface (imports/exports),
     which linking legitimately consults.
+
+    Every evaluator invokes units through :meth:`instantiate`, the
+    implementation model of Section 4.1.6: the caller creates the
+    import and export cells and passes them in.
     """
 
     imports: tuple[str, ...]
     exports: tuple[str, ...]
+
+    def instantiate(self, host, cells: dict[str, Cell]) -> list:
+        """Fill the export cells and return the initializations to run.
+
+        ``host`` is the evaluator (an interpreter or a compiled-code
+        runtime); ``cells`` holds a cell for each import and export.
+        The result lists one host-specific initialization per atomic
+        constituent, in the sequencing order of Section 4.1.2.
+        """
+        raise NotImplementedError
 
     def __repr__(self) -> str:
         ins = " ".join(self.imports)
@@ -263,14 +278,31 @@ class AtomicUnitValue(UnitValue):
         self.imports = syntax.imports
         self.exports = syntax.exports
 
+    def instantiate(self, host, cells: dict[str, Cell]) -> list:
+        """Evaluate the definitions into cells; the run is
+        ``(environment, initialization expression)``."""
+        syntax = self.syntax
+        env = self.env.child()
+        for name in syntax.imports:
+            env.bind_cell(name, cells[name])
+        exports = set(syntax.exports)
+        defined_cells: list[Cell] = []
+        for name, _ in syntax.defns:
+            cell = cells[name] if name in exports else Cell()
+            env.bind_cell(name, cell)
+            defined_cells.append(cell)
+        for (_, rhs), cell in zip(syntax.defns, defined_cells):
+            cell.set(host.eval(rhs, env))
+        return [(env, syntax.init)]
+
 
 class CompoundUnitValue(UnitValue):
     """A unit value created by evaluating a ``compound`` expression.
 
-    It records the two constituent unit values and the linking recipe.
-    Observationally it behaves exactly like the merged atomic unit of
-    Figure 8, which the property tests verify against
-    :func:`repro.units.reduce.merge_compound`.
+    It records the two constituent unit values and, for each, its
+    ``(withs, provides)`` clause.  Observationally it behaves exactly
+    like the merged atomic unit of Figure 8, which the property tests
+    verify against :func:`repro.units.reduce.merge_compound`.
     """
 
     __slots__ = ("imports", "exports", "first", "second",
@@ -282,8 +314,114 @@ class CompoundUnitValue(UnitValue):
         self.exports = tuple(exports)
         self.first = first      # UnitValue
         self.second = second    # UnitValue
-        self.first_clause = first_clause    # LinkClause (syntax only)
+        self.first_clause = first_clause    # (withs, provides)
         self.second_clause = second_clause
+
+    def instantiate(self, host, cells: dict[str, Cell]) -> list:
+        """Propagate cells to the constituents, with fresh cells for
+        the names the compound hides, and instantiate both in order."""
+        # Port resolution is batched per sibling against one shared
+        # namespace, with the membership tests on sets — wide fan-in
+        # compounds resolve each import in O(1) rather than rescanning
+        # the interface tuples.
+        namespace: dict[str, Cell] = {}
+        imported = set(self.imports)
+        exported = set(self.exports)
+        for name in self.imports:
+            namespace[name] = cells[name]
+        for name in set(self.first_clause[1]) | set(self.second_clause[1]):
+            namespace[name] = cells[name] if name in cells \
+                and name in exported else Cell()
+        runs: list = []
+        col = _obs_current()
+        for constituent, (_, provides) in ((self.first, self.first_clause),
+                                           (self.second, self.second_clause)):
+            sub_cells: dict[str, Cell] = {}
+            for name in constituent.imports:
+                if name not in namespace:
+                    raise UnitLinkError(
+                        f"compound: constituent import '{name}' has no "
+                        f"source among the compound's imports and the "
+                        f"other constituent's provides")
+                sub_cells[name] = namespace[name]
+                if col is not None:
+                    col.emit("link.edge", {
+                        "name": name,
+                        "source": ("import" if name in imported
+                                   else "provides")})
+            provided = set(provides)
+            for name in constituent.exports:
+                sub_cells[name] = namespace[name] if name in provided \
+                    else Cell()
+            runs.extend(constituent.instantiate(host, sub_cells))
+        return runs
+
+
+def _require_unit(value: object, who: str) -> None:
+    if not isinstance(value, UnitValue):
+        raise RunTimeError(
+            f"{who}: expected a unit, got {to_write_string(value)}")
+
+
+def invoke_cells(unit: object, supplied: dict[str, Cell]) -> dict[str, Cell]:
+    """The cells an ``invoke`` instantiates ``unit`` with.
+
+    ``supplied`` maps the invoke's link names to cells; every import
+    must be among them (Figure 11's invoke side condition, a run-time
+    error otherwise), and each export gets a fresh cell.
+    """
+    _require_unit(unit, "invoke")
+    missing = [name for name in unit.imports if name not in supplied]
+    if missing:
+        raise UnitLinkError(
+            "invoke: unit imports not satisfied: " + ", ".join(missing))
+    cells = {name: supplied[name] for name in unit.imports}
+    for name in unit.exports:
+        cells[name] = Cell()
+    return cells
+
+
+def check_clause(unit, withs, provides, which: str) -> None:
+    """Figure 11's side conditions on one constituent of a compound.
+
+    The ``which`` (``"first"`` or ``"second"``) constituent must need
+    no more than its ``with`` names and provide at least its
+    ``provides`` names.  ``unit`` is a unit value or unit syntax: only
+    its ``imports`` and ``exports`` are read.
+    """
+    with_set = set(withs)
+    extra = [name for name in unit.imports if name not in with_set]
+    if extra:
+        raise UnitLinkError(
+            f"compound: {which} constituent imports exceed its with "
+            f"clause: " + ", ".join(extra))
+    export_set = set(unit.exports)
+    missing = [name for name in provides if name not in export_set]
+    if missing:
+        raise UnitLinkError(
+            f"compound: {which} constituent does not provide: "
+            + ", ".join(missing))
+
+
+def link_compound(imports, exports, first: object, second: object,
+                  first_clause, second_clause) -> CompoundUnitValue:
+    """Link two evaluated constituents into a compound unit value.
+
+    Both unit checks come before both clause checks; each clause is a
+    ``(withs, provides)`` pair.
+    """
+    _require_unit(first, "compound")
+    _require_unit(second, "compound")
+    col = _obs_current()
+    for unit, (withs, provides), which in (
+            (first, first_clause, "first"),
+            (second, second_clause, "second")):
+        check_clause(unit, withs, provides, which)
+        if col is not None:
+            col.emit("check.clause", {
+                "withs": len(withs), "provides": len(provides)})
+    return CompoundUnitValue(imports, exports, first, second,
+                             first_clause, second_clause)
 
 
 def is_true(value: object) -> bool:

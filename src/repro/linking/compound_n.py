@@ -3,7 +3,9 @@
 The calculus restricts ``compound`` to two constituents linked strictly
 by name; MzScheme generalizes both restrictions (Sections 4.1.1–4.1.2).
 This module implements the generalizations at the unit-*value* level,
-plugging into the interpreter through its ``instantiate_with`` hook:
+as :class:`~repro.lang.values.UnitValue` subclasses that instantiate
+their constituents through the same
+:meth:`~repro.lang.values.UnitValue.instantiate` protocol:
 
 * :class:`RenamedUnitValue` — a unit with separate internal (binding)
   and external (linking) names: the wrapper maps external names to the
@@ -49,7 +51,7 @@ class RenamedUnitValue(UnitValue):
                    for external, internal in mapping.items()}
         return [reverse.get(name, name) for name in internals]
 
-    def instantiate_with(self, interp, cells: dict[str, Cell]):
+    def instantiate(self, host, cells: dict[str, Cell]) -> list:
         """Translate external cells to internal names and delegate."""
         inner_cells: dict[str, Cell] = {}
         for external, internal in zip(self.imports, self.inner.imports):
@@ -59,7 +61,7 @@ class RenamedUnitValue(UnitValue):
             inner_cells[internal] = cells[external]
         for external, internal in zip(self.exports, self.inner.exports):
             inner_cells[internal] = cells.get(external, Cell())
-        return interp.instantiate(self.inner, inner_cells)
+        return self.inner.instantiate(host, inner_cells)
 
 
 def rename_unit(unit: UnitValue,
@@ -173,7 +175,7 @@ class NCompoundUnitValue(UnitValue):
                     f"two exports")
             seen_sources.add(source)
 
-    def instantiate_with(self, interp, cells: dict[str, Cell]):
+    def instantiate(self, host, cells: dict[str, Cell]) -> list:
         """Wire namespace cells and instantiate every constituent."""
         namespace: dict[str, Cell] = {}
         for name in self.imports:
@@ -202,5 +204,5 @@ class NCompoundUnitValue(UnitValue):
                 ns_name = clause.export_names.get(export_name)
                 sub_cells[export_name] = (namespace[ns_name]
                                           if ns_name is not None else Cell())
-            runs.extend(interp.instantiate(clause.unit, sub_cells))
+            runs.extend(clause.unit.instantiate(host, sub_cells))
         return runs

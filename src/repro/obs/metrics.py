@@ -634,26 +634,17 @@ def _count_table(label: str, deltas, failing: set[str],
 
 def render_metrics_diff(base: dict[str, object], cur: dict[str, object],
                         count_threshold: float = 0.10,
-                        latency_threshold: float | None = None,
-                        latency_floor: float = 0.001,
                         strict: bool = False) -> tuple[str, bool]:
     """The ``repro metrics diff`` table; returns ``(text, gate_failed)``.
 
-    Two gates, independently armed:
-
-    * **counts** — the registered ``family.action`` event counters and
-      the per-histogram observation counts (both deterministic for a
-      fixed workload; a counter with no histogram, like
-      ``reduce.step``, is gated only here).  A count growing past
-      ``base * (1 + count_threshold)`` fails; under ``strict``, kinds
-      appearing or vanishing fail too.  This is the CI gate.
-    * **latency** — p50/p99 regressions, armed only when
-      ``latency_threshold`` is given (wall-clock percentiles are
-      machine- and load-dependent, so CI should not gate on them by
-      default).  A percentile fails when it grew past
-      ``base * (1 + latency_threshold)`` *and* past the absolute
-      ``latency_floor`` seconds — microsecond jitter on a fast stage
-      is never a regression.
+    The gate is on counts: the registered ``family.action`` event
+    counters and the per-histogram observation counts (both
+    deterministic for a fixed workload; a counter with no histogram,
+    like ``reduce.step``, is gated only here).  A count growing past
+    ``base * (1 + count_threshold)`` fails; under ``strict``, kinds
+    appearing or vanishing fail too.  The p50/p99 columns are for
+    information only: wall-clock percentiles depend on the machine
+    and its load.
     """
     from repro.obs.analyze import diff_counts, registered_counts, regressions
 
@@ -671,8 +662,6 @@ def render_metrics_diff(base: dict[str, object], cur: dict[str, object],
     failing = {d.kind for d in regressions(deltas, count_threshold, strict)}
     out: list[str] = []
     out.append(f"metrics diff — count threshold {count_threshold:.0%}"
-               + (f", latency threshold {latency_threshold:.0%}"
-                  if latency_threshold is not None else "")
                + (", strict" if strict else ""))
     if not deltas and not counter_deltas:
         out.append("  (no counters or histograms on either side)")
@@ -686,35 +675,23 @@ def render_metrics_diff(base: dict[str, object], cur: dict[str, object],
             out.append("")
         out += _count_table("histogram", deltas, failing,
                             count_threshold, width)
-    latency_failing: list[str] = []
     shared = sorted(set(base_h) & set(cur_h))
     if shared:
         out.append("")
         out.append(f"  {'histogram'.ljust(width)}  "
                    f"{'base p50':>10}  {'cur p50':>10}  "
-                   f"{'base p99':>10}  {'cur p99':>10}  status")
+                   f"{'base p99':>10}  {'cur p99':>10}")
         for name in shared:
             b, c = base_h[name], cur_h[name]
             if not b.count or not c.count:
                 continue
-            status, flag = "ok", ""
-            if latency_threshold is not None:
-                for q in (0.5, 0.99):
-                    bq, cq = b.percentile(q), c.percentile(q)
-                    if cq > bq * (1.0 + latency_threshold) \
-                            and cq > latency_floor:
-                        status = f"p{int(q * 100)} regressed"
-                        flag = " <-- FAIL"
-                        latency_failing.append(name)
-                        break
             out.append(
                 f"  {name.ljust(width)}  "
                 f"{_fmt_ms(b.percentile(0.5)):>10}  "
                 f"{_fmt_ms(c.percentile(0.5)):>10}  "
                 f"{_fmt_ms(b.percentile(0.99)):>10}  "
-                f"{_fmt_ms(c.percentile(0.99)):>10}  {status}{flag}")
-    breaches = len(failing_counters) + len(failing) \
-        + len(set(latency_failing))
+                f"{_fmt_ms(c.percentile(0.99)):>10}")
+    breaches = len(failing_counters) + len(failing)
     if breaches:
         out.append(f"  {breaches} row(s) breach the gate")
     else:

@@ -37,6 +37,7 @@ failure into one request while asserting its neighbours stay healthy.
 
 from __future__ import annotations
 
+import math
 from typing import Mapping
 
 from repro.limits import BudgetExceeded
@@ -103,11 +104,14 @@ def validate_request(obj: object) -> dict[str, object]:
                                   or value < 0):
             raise ProtocolError(f"{field!r} must be a non-negative int")
         req[field] = value
+    # ``json.loads`` accepts NaN and ±Infinity; neither is a budget (a
+    # NaN deadline compares false against everything, so it would never
+    # fire and would slip past the server's maximum).
     deadline = obj.get("deadline_s")
     if deadline is not None:
-        if not isinstance(deadline, (int, float)) \
-                or isinstance(deadline, bool) or deadline <= 0:
-            raise ProtocolError("'deadline_s' must be a positive number")
+        if not _finite_number(deadline) or deadline <= 0:
+            raise ProtocolError(
+                "'deadline_s' must be a positive finite number")
         deadline = float(deadline)
     req["deadline_s"] = deadline
     chaos = obj.get("chaos", [])
@@ -119,11 +123,16 @@ def validate_request(obj: object) -> dict[str, object]:
         raise ProtocolError(f"unknown chaos faults: {sorted(unknown)}")
     req["chaos"] = tuple(chaos)
     slow_s = obj.get("chaos_slow_s", 0.05)
-    if not isinstance(slow_s, (int, float)) or isinstance(slow_s, bool) \
-            or slow_s < 0:
-        raise ProtocolError("'chaos_slow_s' must be a non-negative number")
+    if not _finite_number(slow_s) or slow_s < 0:
+        raise ProtocolError(
+            "'chaos_slow_s' must be a non-negative finite number")
     req["chaos_slow_s"] = float(slow_s)
     return req
+
+
+def _finite_number(value: object) -> bool:
+    return isinstance(value, (int, float)) \
+        and not isinstance(value, bool) and math.isfinite(value)
 
 
 # ---------------------------------------------------------------------------

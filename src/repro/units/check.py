@@ -207,15 +207,16 @@ def check_invoke(expr: InvokeExpr, strict_valuable: bool = True) -> None:
 def check_program(expr: Expr, strict_valuable: bool = True) -> Expr:
     """Check a whole program and return it (for pipeline-style use).
 
-    Strictly, the unit rule also counts the primitives the program
-    rebinds anywhere as unstable (:func:`program_bindings`): code around
-    a unit can bind ``+`` to a procedure that reads a later definition.
+    Strictly, the unit rule also counts a unit's rebound primitives as
+    unstable (:func:`program_bindings`): a binder around the unit, or
+    an assignment anywhere, can make ``+`` a procedure that reads a
+    later definition.
     """
     check_expr(expr, strict_valuable)
     if strict_valuable:
-        _, rebound, units = program_bindings(expr)
-        if rebound:
-            for unit in units:
+        _, units = program_bindings(expr)
+        for unit, rebound in units:
+            if rebound:
                 name = unvaluable_definition(unit, rebound)
                 if name is not None:
                     raise _not_valuable(name, unit)

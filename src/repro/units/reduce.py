@@ -25,6 +25,7 @@ from repro import limits as _limits
 from repro.lang.ast import Expr, Letrec, Var, seq_of
 from repro.lang.errors import UnitLinkError
 from repro.lang.subst import fresh_like, free_vars, substitute
+from repro.lang.values import check_clause
 from repro.obs import current as _obs_current
 from repro.serve import chaos as _chaos
 from repro.units.ast import CompoundExpr, InvokeExpr, UnitExpr
@@ -88,18 +89,10 @@ def merge_compound(compound: CompoundExpr, first: UnitExpr,
     merged unit's imports, with the other constituent's definitions, or
     with linkage names.
     """
-    for unit, clause, which in ((first, compound.first, "first"),
-                                (second, compound.second, "second")):
-        extra = [n for n in unit.imports if n not in clause.withs]
-        if extra:
-            raise UnitLinkError(
-                f"compound: {which} constituent imports exceed its with "
-                f"clause: " + ", ".join(extra))
-        missing = [n for n in clause.provides if n not in unit.exports]
-        if missing:
-            raise UnitLinkError(
-                f"compound: {which} constituent does not provide: "
-                + ", ".join(missing))
+    check_clause(first, compound.first.withs, compound.first.provides,
+                 "first")
+    check_clause(second, compound.second.withs, compound.second.provides,
+                 "second")
 
     budget = _limits.current()
     if budget is not None:

@@ -116,18 +116,37 @@ def is_valuable(expr: Expr, unstable: frozenset[str]) -> bool:
     return False
 
 
+class _Scope:
+    """A walk marker: from here on, these primitive names are bound
+    around the nodes :func:`program_bindings` pops."""
+
+    __slots__ = ("names",)
+
+    def __init__(self, names: frozenset[str]):
+        self.names = names
+
+
 def program_bindings(
-        program: Expr) -> tuple[frozenset[str], frozenset[str],
-                                list[UnitExpr]]:
-    """The names ``program`` assigns, its rebound primitives, and its
-    units, in one walk.  A primitive is rebound when the program binds
-    (``lambda``, ``let``/``letrec``, unit import or definition) or
-    assigns its name anywhere: a unit may call it out of its binder's
-    sight, so the unit rule counts it unstable."""
+        program: Expr) -> tuple[frozenset[str],
+                                list[tuple[UnitExpr, frozenset[str]]]]:
+    """The names ``program`` assigns, and each unit with its rebound
+    primitives, in one walk.
+
+    A primitive is rebound for a unit when a binder that encloses the
+    unit binds its name (a ``lambda`` parameter, a ``let``/``letrec``
+    binding, an enclosing unit's import or definition), or when the
+    program assigns it anywhere: a definition's call of it may then
+    run user code, so the unit rule counts it unstable.  A binding the
+    unit cannot see changes nothing.
+    """
     assigned: set[str] = set()
-    bound: set[str] = set()
-    units: list[UnitExpr] = []
-    stack = [program]
+    units: list[tuple[UnitExpr, frozenset[str]]] = []
+    # Primitive names bound around the current node.  Binders rarely
+    # bind one, so the common walk pushes plain nodes only; a binder
+    # that does pushes a marker that sets the scope for its body and a
+    # marker below the body that restores it.
+    scope: frozenset[str] = frozenset()
+    stack: list = [program]
     while stack:
         node = stack.pop()
         kind = type(node)  # exact classes, commonest first: this is hot
@@ -137,17 +156,30 @@ def program_bindings(
             stack.append(node.fn)
             stack.extend(node.args)
             continue
+        if kind is _Scope:
+            scope = node.names
+            continue
+        names = None
         if kind is SetBang:
             assigned.add(node.name)
         elif kind is Lambda:
-            bound.update(node.params)
+            names = BENIGN_PRIMS.intersection(node.params)
         elif kind is Let or kind is Letrec:
-            bound.update(name for name, _ in node.bindings)
+            names = BENIGN_PRIMS.intersection(
+                name for name, _ in node.bindings)
         elif kind is UnitExpr:
-            bound.update(node.imports + node.defined)
-            units.append(node)
+            units.append((node, scope))
+            names = BENIGN_PRIMS.intersection(node.imports + node.defined)
+        if names:
+            inner, outer = unit_children(node), ()
+            if kind is Let:  # let right-hand sides are outside its scope
+                inner, outer = (node.body,), inner[:-1]
+            stack += (_Scope(scope), *inner, _Scope(scope | names), *outer)
+            continue
         stack.extend(unit_children(node))
-    return frozenset(assigned), BENIGN_PRIMS & (assigned | bound), units
+    assigned_prims = BENIGN_PRIMS.intersection(assigned)
+    return frozenset(assigned), [(unit, around | assigned_prims)
+                                 for unit, around in units]
 
 
 def unvaluable_definition(unit: UnitExpr,
@@ -156,8 +188,9 @@ def unvaluable_definition(unit: UnitExpr,
 
     This is the unit rule of Section 4.1.1: each right-hand side must
     be valuable with the unit's imported and defined variables
-    unstable, and the ``rebound`` primitives (:func:`program_bindings`)
-    too: an application of one may run user code.
+    unstable, and the unit's ``rebound`` primitives
+    (:func:`program_bindings`) too: an application of one may run user
+    code.
     """
     unstable = frozenset(unit.imports) | frozenset(unit.defined) | rebound
     for name, rhs in unit.defns:

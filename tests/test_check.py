@@ -99,9 +99,9 @@ class TestValuability:
             """)
 
     # The unit applies '+' to a thunk that reads a later sibling.  Code
-    # around the unit rebinds '+' to call that thunk, and the unit
-    # cannot see the binder: the program-wide rebound set must reject
-    # it, since running it reads 'b' before it is defined.
+    # around the unit rebinds '+' to call that thunk, outside the unit's
+    # own text: the unit's rebound set must reject it, since running it
+    # reads 'b' before it is defined.
     PRIM_REBOUND_OUTSIDE = {
         "lambda": "((lambda (+) {unit}) (lambda (f y) (f)))",
         "let": "(let ((+ (lambda (f y) (f)))) {unit})",
@@ -127,6 +127,26 @@ class TestValuability:
         check(text, strict=False)
         with pytest.raises(RunTimeError, match="undefined variable"):
             run_program(text)
+
+    # Binders of '+' that do not enclose the unit leave its '+' the
+    # primitive, so a definition applying it stays valuable.
+    PRIM_BOUND_ELSEWHERE = {
+        "sibling-lambda": "(begin ((lambda (+) +) 1) {unit})",
+        "let-right-hand-side": "(let ((+ 1) (r {unit})) r)",
+        "sibling-unit": ("(begin (invoke (unit (import) (export)"
+                         " (define + 1) +)) {unit})"),
+    }
+    PRIM_UNIT = "(invoke (unit (import) (export) (define x (+ 1 2)) x))"
+
+    @pytest.mark.parametrize("where", sorted(PRIM_BOUND_ELSEWHERE))
+    def test_prim_bound_outside_unit_scope_accepted_when_strict(self, where):
+        from repro.backend import compile_program
+        from repro.lang.interp import run_program
+
+        text = self.PRIM_BOUND_ELSEWHERE[where].format(unit=self.PRIM_UNIT)
+        check(text)
+        assert run_program(text)[0] == 3
+        assert compile_program(parse_program(text)).run()[0] == 3
 
     def test_reference_to_defined_variable_rejected_when_strict(self):
         with pytest.raises(CheckError, match="valuable"):

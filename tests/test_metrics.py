@@ -504,25 +504,6 @@ class TestRenderers:
         assert [line for line in text.splitlines()
                 if "link.static" in line and "FAIL" in line]
 
-    def test_diff_latency_gate_requires_opt_in_and_floor(self):
-        base = self._snapshot()
-        count = base["histograms"]["check.unit"]["count"]
-        # Same observation count, much slower samples: the count gate
-        # stays green, only latency regressed.
-        cur = json.loads(json.dumps(base))
-        cur["histograms"]["check.unit"] = \
-            hist_of([10.0] * count).to_json()
-        _, failed = obs.render_metrics_diff(base, cur)
-        assert not failed  # latency gate off by default
-        _, failed = obs.render_metrics_diff(base, cur,
-                                            latency_threshold=0.5)
-        assert failed
-        # The absolute floor forgives regressions below it.
-        _, failed = obs.render_metrics_diff(base, cur,
-                                            latency_threshold=0.5,
-                                            latency_floor=100.0)
-        assert not failed
-
 
 class TestMetricsCli:
     def _write_snapshot(self, tmp_path, name="m.json", rounds=1):

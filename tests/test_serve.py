@@ -82,6 +82,11 @@ class TestValidateRequest:
         {"op": "run", "source": "(x)", "chaos": "cache-io"},
         {"op": "run", "source": "(x)", "chaos": ["meteor"]},
         {"op": "run", "source": "(x)", "chaos_slow_s": -1},
+        {"op": "run", "source": "(x)", "deadline_s": float("nan")},
+        {"op": "run", "source": "(x)", "deadline_s": float("inf")},
+        {"op": "run", "source": "(x)", "deadline_s": float("-inf")},
+        {"op": "run", "source": "(x)", "chaos_slow_s": float("nan")},
+        {"op": "run", "source": "(x)", "chaos_slow_s": float("inf")},
         {"op": "invalidate"},
         {"op": "invalidate", "digest": ""},
         {"op": "invalidate", "digest": "/tmp/victim/keep"},
@@ -199,6 +204,32 @@ class TestServerEndToEnd:
         assert by_status == ["error", "error", "ok"]
         ok = next(frame for frame in frames if frame["status"] == "ok")
         assert ok["id"] == 9
+
+    @pytest.mark.parametrize("deadline",
+                             [float("nan"), float("inf"), float("-inf")])
+    def test_non_finite_deadline_rejected_on_the_wire(self, deadline):
+        # json.dumps writes NaN/Infinity/-Infinity and json.loads parses
+        # them; a NaN deadline would never fire and would escape
+        # --max-deadline, so the looping request must be refused before
+        # it reaches a worker.
+        config = ServeConfig(workers=1, max_deadline_s=5.0)
+        looping = json.dumps({"id": 1, "op": "run", "source": LOOP,
+                              "deadline_s": deadline})
+        with ServerThread(config) as st:
+            with socket.create_connection((st.host, st.port),
+                                          timeout=30) as sock:
+                f = sock.makefile("rwb")
+                f.write(looping.encode() + b"\n")
+                f.write(json.dumps({"id": 2, "op": "run",
+                                    "source": GREET}).encode() + b"\n")
+                f.flush()
+                frames = {frame["id"]: frame for frame in
+                          (json.loads(f.readline()) for _ in range(2))}
+        assert frames[1]["status"] == "error"
+        assert frames[1]["error"]["type"] == "ProtocolError"
+        assert "deadline_s" in frames[1]["error"]["message"]
+        assert frames[2]["status"] == "ok"
+        assert frames[2]["value"] == "42"
 
     def test_metrics_envelope_feeds_load_snapshot(self, tmp_path):
         # Satellite: a `repro client metrics` capture is a report/diff
