@@ -13,7 +13,8 @@
 # (benchmarks/.metrics/metrics_baseline.json — regenerate with
 # scripts/update_metrics_baseline.sh after intentional changes), if
 # concurrent traced scopes cross-contaminate
-# span trees or drop events, if the demo's second archive retrieval
+# span trees or drop events, if the same scopes drained per worker and
+# merged into a parent registry count differently, if the demo's second archive retrieval
 # misses the parse (dynlink) store, if the quick bench
 # smoke finds the caches inert, if a warm sharing-064 pass fails to
 # serve its whole flattened subtree from the flatten memo
@@ -105,7 +106,8 @@ echo "==> gate: event and histogram counts vs committed metrics baseline"
 python -m repro metrics diff benchmarks/.metrics/metrics_baseline.json \
     "$metrics_file" --threshold 0.10
 
-echo "==> smoke: concurrent traced scopes (8 workers, one registry)"
+echo "==> smoke: concurrent traced scopes (8 workers, one registry;"
+echo "    the same scopes drained per worker and merged into a parent)"
 python - <<'EOF'
 from concurrent.futures import ThreadPoolExecutor
 
@@ -114,6 +116,9 @@ from repro.obs.analyze import validate_spans
 
 WORKERS, ITERS = 8, 20
 registry = obs.MetricsRegistry()
+# The process-mode route: each worker's own registry absorbs the
+# scope, is drained, and the fragment is merged into one parent.
+parent = obs.MetricsRegistry()
 
 def work(worker: int) -> int:
     with registry.scope() as col:
@@ -124,7 +129,10 @@ def work(worker: int) -> int:
         problems = validate_spans(col.events)
         assert not problems, f"worker {worker} span tree: {problems}"
         assert col.dropped == 0, f"worker {worker} dropped events"
-        return col.counters["reduce.step"]
+    own = obs.MetricsRegistry()
+    own.absorb(col)
+    parent.merge_snapshot(own.drain())
+    return col.counters["reduce.step"]
 
 with ThreadPoolExecutor(max_workers=WORKERS) as pool:
     per_worker = list(pool.map(work, range(WORKERS)))
@@ -136,8 +144,16 @@ assert snap["counters"]["reduce.step"] == total, snap["counters"]
 assert snap["counters"].get("trace.dropped", 0) == 0
 assert snap["histograms"]["check.unit"]["count"] == total
 assert snap["flushes"] == WORKERS
+merged = parent.snapshot()
+assert merged["counters"] == snap["counters"], \
+    (merged["counters"], snap["counters"])
+counts = {name: h["count"] for name, h in snap["histograms"].items()}
+merged_counts = {name: h["count"]
+                 for name, h in merged["histograms"].items()}
+assert merged_counts == counts, (merged_counts, counts)
 print(f"concurrency ok: {WORKERS} workers x {ITERS} spans, "
-      f"{total} steps, one coherent snapshot, 0 dropped")
+      f"{total} steps, one coherent snapshot, 0 dropped; "
+      f"drained fragments merge to the same counts")
 EOF
 
 echo "==> smoke: bench --quick (cached vs --no-term-cache)"

@@ -45,7 +45,8 @@ Observability (any subcommand)::
 
 ``--trace FILE`` records every pipeline event (reduction steps, link
 edges, checks, compiles, invokes, dynamic-link loads) as JSON Lines;
-``--metrics`` prints the counter/timer snapshot as JSON on stderr
+``--metrics`` prints the ``metrics1`` snapshot (counters, latency
+histograms, gauges) as JSON on stderr
 (``--metrics-out FILE`` writes it to a file instead); ``--profile``
 prints a cProfile report on stderr.  All three are off by default and
 cost nothing when off.
@@ -473,8 +474,9 @@ def cmd_batch(args: argparse.Namespace) -> int:
     ok = len(records) - failures
     print(f"batch: {ok} ok, {failures} failed, {len(records)} total",
           file=sys.stderr)
-    stage_hists = {name: hist
-                   for name, hist in registry.histograms.items()
+    snapshot = registry.snapshot()
+    stage_hists = {name: obs.Histogram.from_json(hist)
+                   for name, hist in snapshot["histograms"].items()
                    if name.startswith("stage.")}
     for line in obs.render_percentiles(stage_hists,
                                        title="stage latency (ms)"):
@@ -483,7 +485,7 @@ def cmd_batch(args: argparse.Namespace) -> int:
         import json as _json
 
         Path(args.metrics_snapshot).write_text(
-            _json.dumps(registry.snapshot(), indent=2, sort_keys=True)
+            _json.dumps(snapshot, indent=2, sort_keys=True)
             + "\n", encoding="utf-8")
         print(f"metrics: snapshot -> {args.metrics_snapshot}",
               file=sys.stderr)
@@ -574,11 +576,6 @@ def cmd_client(args: argparse.Namespace) -> int:
             fields["chaos_slow_s"] = args.chaos_slow
     if args.deadline is not None:
         fields["deadline_s"] = args.deadline
-    if args.op == "invalidate":
-        if not args.digest:
-            print("client: invalidate needs --digest", file=sys.stderr)
-            return 2
-        fields["digest"] = args.digest
     try:
         with ServeClient(args.host, port,
                          timeout_s=args.timeout) as client:
@@ -614,7 +611,8 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--trace", metavar="FILE", default=None,
                         help="write pipeline events as JSON Lines to FILE")
     parser.add_argument("--metrics", action="store_true",
-                        help="print counter/timer metrics as JSON on stderr")
+                        help="print the metrics1 snapshot (counters, "
+                             "histograms, gauges) as JSON on stderr")
     parser.add_argument("--metrics-out", metavar="FILE", default=None,
                         help="write the metrics JSON to FILE")
     parser.add_argument("--profile", action="store_true",
@@ -822,7 +820,7 @@ def build_parser() -> argparse.ArgumentParser:
     client = sub.add_parser(
         "client", help="send one request to a running link server")
     client.add_argument("op", choices=("ping", "metrics", "stats",
-                                       "flush", "invalidate", "check",
+                                       "flush", "check",
                                        "link", "run"),
                         help="request op")
     client.add_argument("file", nargs="?", default=None,

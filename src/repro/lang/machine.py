@@ -54,7 +54,7 @@ from repro.lang.prims import OutputPort, make_global_env
 from repro import limits as _limits
 from repro.obs import current as _obs_current
 from repro.lang.subst import fresh_like, free_vars, substitute
-from repro.lang.values import Primitive, is_true
+from repro.lang.values import Primitive, is_true, to_write_string
 from repro.units.ast import CompoundExpr, InvokeExpr, LinkClause, UnitExpr
 from repro.units.reduce import merge_compound, reduce_invoke
 
@@ -72,6 +72,18 @@ _UNDEFINED_MARK = _UndefinedMark()
 def is_value(expr: Expr) -> bool:
     """Syntactic values: literals, procedures, and atomic units."""
     return isinstance(expr, (Lit, Lambda, UnitExpr))
+
+
+def _require_unit(value: Expr, who: str) -> None:
+    """Reject a non-unit value in unit position, written the way the
+    value-level evaluators write it (:func:`repro.lang.values
+    ._require_unit`): a literal as ``write`` shows it, a procedure as
+    ``#<procedure:<anonymous>>``."""
+    if isinstance(value, UnitExpr):
+        return
+    written = (to_write_string(value.value) if isinstance(value, Lit)
+               else "#<procedure:<anonymous>>")
+    raise RunTimeError(f"{who}: expected a unit, got {written}")
 
 
 @dataclass
@@ -279,9 +291,8 @@ class Machine:
                                expr.second.provides),
                     expr.loc)
             first, second = expr.first.expr, expr.second.expr
-            if not isinstance(first, UnitExpr) \
-                    or not isinstance(second, UnitExpr):
-                raise RunTimeError("compound: constituent is not a unit")
+            _require_unit(first, "compound")
+            _require_unit(second, "compound")
             return merge_compound(expr, first, second)
         if isinstance(expr, InvokeExpr):
             if not is_value(expr.expr):
@@ -292,10 +303,8 @@ class Machine:
                     links = list(expr.links)
                     links[index] = (name, self._reduce_inside(rhs, state))
                     return InvokeExpr(expr.expr, tuple(links), expr.loc)
-            unit = expr.expr
-            if not isinstance(unit, UnitExpr):
-                raise RunTimeError("invoke: target is not a unit")
-            return reduce_invoke(unit, dict(expr.links))
+            _require_unit(expr.expr, "invoke")
+            return reduce_invoke(expr.expr, dict(expr.links))
         raise RunTimeError(f"machine: no rule for {expr!r}")
 
     # ------------------------------------------------------------------

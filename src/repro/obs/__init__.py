@@ -12,7 +12,8 @@ interpreter/machine/reducer -> dynlinker) emits structured
     with obs.collecting() as col:
         Interpreter().eval(program)
     col.kinds()       # {"unit.invoke": 3, "link.compound": 2, ...}
-    col.metrics()     # JSON-ready counters + timers snapshot
+    col.metrics()     # JSON-ready metrics1 snapshot (counters,
+                      # histograms, gauges)
     obs.write_jsonl(col.events, "trace.jsonl")
 
 With no collector in scope every instrumentation point reduces to one

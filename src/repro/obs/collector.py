@@ -55,7 +55,7 @@ from contextvars import ContextVar
 from typing import Iterator
 
 from repro.obs.events import TraceEvent, family_of
-from repro.obs.metrics import Gauge, Histogram, _snapshot_dict
+from repro.obs.metrics import SNAPSHOT_SCHEMA, Gauge, Histogram
 
 _ACTIVE: ContextVar["Collector | None"] = ContextVar(
     "repro_obs_collector", default=None)
@@ -215,8 +215,6 @@ class Span:
         if exc is not None:
             payload["err"] = repr(exc)
         col._record(self.kind, payload, bump=False)
-        col.timers[self.kind] = col.timers.get(self.kind, 0.0) + self_time
-        col.timer_calls[self.kind] = col.timer_calls.get(self.kind, 0) + 1
         # Every span exit also feeds the latency histogram for its
         # kind, so percentiles come for free at existing call-sites.
         hist = col.histograms.get(self.kind)
@@ -227,7 +225,8 @@ class Span:
 
 
 class Collector:
-    """Accumulates trace events, monotonic counters, and timers.
+    """Accumulates trace events, monotonic counters, histograms, and
+    gauges.
 
     One collector represents one observation session (a CLI run, a
     benchmark, a test).  It is not thread-safe by design — scoping via
@@ -236,14 +235,14 @@ class Collector:
     ``max_events`` bounds memory on pathological traces: beyond the
     bound, events are dropped (counted in ``dropped``, and per kind in
     ``dropped_kinds`` so reports can say *what* was truncated) while
-    counters, timers, and histograms keep accumulating.
+    counters and histograms keep accumulating.
 
     ``record_events=False`` makes a metrics-only collector: spans,
-    counters, timers, histograms, and gauges all work, but event
-    bodies are never stored (and are *not* counted as dropped — the
-    caller opted out).  :meth:`MetricsRegistry.scope
-    <repro.obs.metrics.MetricsRegistry.scope>` uses this for
-    aggregation without per-event allocation.
+    counters, histograms, and gauges all work, but event bodies are
+    never stored (and are *not* counted as dropped — the caller opted
+    out).  :class:`~repro.obs.metrics.MetricsRegistry` uses one as its
+    accumulator and opens its scopes with one when it has no parent
+    collector, aggregating without per-event allocation.
     """
 
     def __init__(self, max_events: int = 1_000_000, *,
@@ -251,14 +250,15 @@ class Collector:
         self.t0 = time.perf_counter()
         self.events: list[TraceEvent] = []
         self.counters: dict[str, int] = {}
-        self.timers: dict[str, float] = {}
-        self.timer_calls: dict[str, int] = {}
         self.histograms: dict[str, Histogram] = {}
         self.gauges: dict[str, Gauge] = {}
         self.max_events = max_events
         self.record_events = record_events
         self.dropped = 0
         self.dropped_kinds: dict[str, int] = {}
+        #: Events recorded by adopted collectors (or decoded snapshots)
+        #: whose bodies this collector did not keep.
+        self.folded_events = 0
         self._seq = 0
         self._spans: list[Span] = []
         self._next_span = 0
@@ -339,13 +339,16 @@ class Collector:
     def adopt(self, child: "Collector") -> None:
         """Fold a finished child collector into this one.
 
-        The child's events are appended with their span ids remapped
-        past this collector's id watermark and their timestamps
-        rebased onto this collector's clock, so the merged trace is
-        still a well-formed forest: the child's span trees arrive
-        intact and *disjoint* from every other adoptee's.  All numeric
-        state (counters, timers, histograms, gauges, drop tallies)
-        merges too.
+        When this collector records events, the child's are appended
+        with their span ids remapped past this collector's id
+        watermark and their timestamps rebased onto this collector's
+        clock, so the merged trace is still a well-formed forest: the
+        child's span trees arrive intact and *disjoint* from every
+        other adoptee's.  A metrics-only collector only counts them.
+        All numeric state (counters, histograms, gauges, span and drop
+        tallies) merges too; this is the one fold every aggregation
+        path uses (:class:`repro.obs.metrics.MetricsRegistry` adopts
+        scopes and decoded snapshots alike).
 
         The child must be finished (no open spans) and must not be
         recording concurrently; :class:`repro.obs.metrics.MetricsRegistry`
@@ -353,6 +356,7 @@ class Collector:
         """
         offset = self._next_span
         self._next_span += child._next_span
+        self.folded_events += child.folded_events
         shift = child.t0 - self.t0
         if self.record_events:
             for event in child.events:
@@ -372,12 +376,10 @@ class Collector:
                     TraceEvent(event.kind, self._seq, event.t + shift,
                                fields))
                 self._seq += 1
+        else:
+            self.folded_events += len(child.events)
         for name, value in child.counters.items():
             self.counters[name] = self.counters.get(name, 0) + value
-        for name, seconds in child.timers.items():
-            self.timers[name] = self.timers.get(name, 0.0) + seconds
-        for name, calls in child.timer_calls.items():
-            self.timer_calls[name] = self.timer_calls.get(name, 0) + calls
         for name, hist in child.histograms.items():
             mine = self.histograms.get(name)
             if mine is None:
@@ -393,17 +395,6 @@ class Collector:
         self.dropped += child.dropped
         for kind, n in child.dropped_kinds.items():
             self.dropped_kinds[kind] = self.dropped_kinds.get(kind, 0) + n
-
-    @contextmanager
-    def timed(self, name: str) -> Iterator[None]:
-        """Accumulate wall time (and a call count) under ``name``."""
-        start = time.perf_counter()
-        try:
-            yield
-        finally:
-            self.timers[name] = (self.timers.get(name, 0.0)
-                                 + time.perf_counter() - start)
-            self.timer_calls[name] = self.timer_calls.get(name, 0) + 1
 
     # -- reading --------------------------------------------------------
 
@@ -429,12 +420,57 @@ class Collector:
     def metrics(self) -> dict[str, object]:
         """A JSON-ready ``metrics1`` snapshot of everything but the
         event bodies (see ``docs/METRICS.md`` for the schema)."""
-        return _snapshot_dict(
-            counters=self.counters, timers=self.timers,
-            timer_calls=self.timer_calls, histograms=self.histograms,
-            gauges=self.gauges, events=len(self.events),
-            spans=self._next_span, dropped=self.dropped,
-            dropped_kinds=self.dropped_kinds)
+        return {
+            "schema": SNAPSHOT_SCHEMA,
+            "events": len(self.events) + self.folded_events,
+            "spans": self._next_span,
+            "dropped": self.dropped,
+            "dropped_by_kind": dict(sorted(self.dropped_kinds.items())),
+            "counters": dict(sorted(self.counters.items())),
+            "gauges": {name: self.gauges[name].to_json()
+                       for name in sorted(self.gauges)},
+            "histograms": {name: self.histograms[name].to_json()
+                           for name in sorted(self.histograms)},
+        }
+
+    @classmethod
+    def from_metrics(cls, payload: dict[str, object]) -> "Collector":
+        """Decode a :meth:`metrics` snapshot into a metrics-only
+        collector holding its numbers, ready to :meth:`adopt`.
+
+        Raises :class:`ValueError` for a section that is not an
+        object, a histogram or gauge missing a field, or a count that
+        is not a number.  Sections the format does not define (older
+        snapshots carry a self-time section) are ignored.
+        """
+        sections: dict[str, dict] = {}
+        for key in ("counters", "histograms", "gauges", "dropped_by_kind"):
+            section = payload.get(key, {})
+            if not isinstance(section, dict):
+                raise ValueError(f"metrics section {key!r} is not an "
+                                 f"object")
+            sections[key] = section
+        out = cls(record_events=False)
+        try:
+            out.counters = {name: int(n) for name, n
+                            in sections["counters"].items()}
+            out.dropped_kinds = {kind: int(n) for kind, n
+                                 in sections["dropped_by_kind"].items()}
+            out.folded_events = int(payload.get("events", 0))  # type: ignore[arg-type]
+            out._next_span = int(payload.get("spans", 0))  # type: ignore[arg-type]
+            out.dropped = int(payload.get("dropped", 0))  # type: ignore[arg-type]
+        except (TypeError, ValueError) as err:
+            raise ValueError(f"malformed metrics count: {err}") from err
+        for section, decode, into in (
+                ("histograms", Histogram.from_json, out.histograms),
+                ("gauges", Gauge.from_json, out.gauges)):
+            for name, value in sections[section].items():
+                try:
+                    into[name] = decode(value)
+                except ValueError as err:
+                    raise ValueError(
+                        f"{section} {name!r}: {err}") from err
+        return out
 
 
 # ---------------------------------------------------------------------------

@@ -24,7 +24,8 @@ serve`` requests) produce **one coherent snapshot**:
 * :class:`MetricsRegistry` — the lock-protected aggregation point.
   Child collector scopes (one per request/thread/task/batch item,
   opened with :meth:`MetricsRegistry.scope`) flush their counters,
-  timers, histograms, and gauges into the registry on exit; when the
+  histograms, and gauges into the registry on exit, through the same
+  fold that merges decoded snapshots and worker fragments; when the
   registry has a *parent* collector, the child's events are adopted
   into it with span ids remapped into a fresh range, so the merged
   trace holds N disjoint, well-formed span trees with zero
@@ -202,16 +203,25 @@ class Histogram:
     @classmethod
     def from_json(cls, payload: dict[str, object]) -> "Histogram":
         """Inverse of :meth:`to_json` (summary fields are recomputed
-        except the exact count/sum/min/max, which are carried)."""
+        except the exact count/sum/min/max, which are carried).
+
+        Raises :class:`ValueError` when a field is missing or
+        malformed.
+        """
         out = cls()
-        out.count = int(payload.get("count", 0))  # type: ignore[arg-type]
-        out.sum = float(payload.get("sum", 0.0))  # type: ignore[arg-type]
-        out.min = (float(payload["min"])  # type: ignore[arg-type]
-                   if out.count else math.inf)
-        out.max = float(payload.get("max", 0.0))  # type: ignore[arg-type]
-        for pair in payload.get("buckets", ()):  # type: ignore[union-attr]
-            index, n = pair
-            out.buckets[int(index)] = out.buckets.get(int(index), 0) + int(n)
+        try:
+            out.count = int(payload["count"])  # type: ignore[arg-type]
+            out.sum = float(payload["sum"])  # type: ignore[arg-type]
+            low = float(payload["min"])  # type: ignore[arg-type]
+            out.min = low if out.count else math.inf
+            out.max = float(payload["max"])  # type: ignore[arg-type]
+            for index, n in payload["buckets"]:  # type: ignore[union-attr]
+                out.buckets[int(index)] = \
+                    out.buckets.get(int(index), 0) + int(n)
+        except KeyError as err:
+            raise ValueError(f"no {err} field") from err
+        except (TypeError, ValueError) as err:
+            raise ValueError(f"malformed: {err}") from err
         return out
 
     def __eq__(self, other: object) -> bool:
@@ -280,12 +290,20 @@ class Gauge:
 
     @classmethod
     def from_json(cls, payload: dict[str, object]) -> "Gauge":
+        """Inverse of :meth:`to_json`; raises :class:`ValueError` when
+        a field is missing or malformed."""
         out = cls()
-        updates = int(payload.get("updates", 0))  # type: ignore[arg-type]
+        try:
+            updates = int(payload["updates"])  # type: ignore[arg-type]
+            last = float(payload["last"])  # type: ignore[arg-type]
+            low = float(payload["min"])  # type: ignore[arg-type]
+            high = float(payload["max"])  # type: ignore[arg-type]
+        except KeyError as err:
+            raise ValueError(f"no {err} field") from err
+        except (TypeError, ValueError) as err:
+            raise ValueError(f"malformed: {err}") from err
         if updates:
-            out.last = float(payload.get("last", 0.0))  # type: ignore[arg-type]
-            out.min = float(payload.get("min", out.last))  # type: ignore[arg-type]
-            out.max = float(payload.get("max", out.last))  # type: ignore[arg-type]
+            out.last, out.min, out.max = last, low, high
             out.updates = updates
         return out
 
@@ -297,10 +315,15 @@ class MetricsRegistry:
     task, or batch item runs under its own child
     :class:`~repro.obs.collector.Collector` (opened with
     :meth:`scope`), and the child's numbers are folded in atomically
-    when the scope exits.  All mutation happens under one
+    when the scope exits.  The registry is a lock around one
+    metrics-only collector, its accumulator: direct
+    :meth:`observe`/:meth:`count`/:meth:`gauge` calls record into it,
+    and flushed scopes (:meth:`absorb`) and decoded snapshots
+    (:meth:`merge_snapshot`) are folded into it by
+    :meth:`Collector.adopt <repro.obs.collector.Collector.adopt>`, so
+    every route sums the same way.  All of it happens under one
     :class:`threading.Lock`, so concurrent scope exits, direct
-    :meth:`observe`/:meth:`count`/:meth:`gauge` calls, and snapshot
-    reads interleave safely.
+    recording, and snapshot reads interleave safely.
 
     When constructed with a ``parent`` collector, each flushed child's
     *events* are also adopted into the parent — span ids remapped into
@@ -315,36 +338,22 @@ class MetricsRegistry:
     def __init__(self, parent=None) -> None:
         self._lock = threading.Lock()
         self._parent = parent
-        self.counters: dict[str, int] = {}
-        self.timers: dict[str, float] = {}
-        self.timer_calls: dict[str, int] = {}
-        self.histograms: dict[str, Histogram] = {}
-        self.gauges: dict[str, Gauge] = {}
-        self.events = 0
-        self.spans = 0
-        self.dropped = 0
-        self.dropped_kinds: dict[str, int] = {}
+        self._totals = _accumulator()
         self.flushes = 0
 
     # -- direct recording (thread-safe) ---------------------------------
 
     def count(self, name: str, delta: int = 1) -> None:
         with self._lock:
-            self.counters[name] = self.counters.get(name, 0) + delta
+            self._totals.count(name, delta)
 
     def observe(self, name: str, seconds: float) -> None:
         with self._lock:
-            hist = self.histograms.get(name)
-            if hist is None:
-                hist = self.histograms[name] = Histogram()
-            hist.record(seconds)
+            self._totals.observe(name, seconds)
 
     def gauge(self, name: str, value: float) -> None:
         with self._lock:
-            g = self.gauges.get(name)
-            if g is None:
-                g = self.gauges[name] = Gauge()
-            g.set(value)
+            self._totals.gauge(name, value)
 
     # -- absorbing collectors and snapshots -----------------------------
 
@@ -352,91 +361,41 @@ class MetricsRegistry:
         """Fold one collector's metrics in (events are not kept here;
         give the registry a parent collector to aggregate those)."""
         with self._lock:
-            self._absorb_locked(collector)
+            self._totals.adopt(collector)
+            self.flushes += 1
             if self._parent is not None and self._parent is not collector:
                 self._parent.adopt(collector)
 
-    def _absorb_locked(self, col) -> None:
-        for name, value in col.counters.items():
-            self.counters[name] = self.counters.get(name, 0) + value
-        for name, seconds in col.timers.items():
-            self.timers[name] = self.timers.get(name, 0.0) + seconds
-        for name, calls in col.timer_calls.items():
-            self.timer_calls[name] = self.timer_calls.get(name, 0) + calls
-        for name, hist in col.histograms.items():
-            mine = self.histograms.get(name)
-            if mine is None:
-                self.histograms[name] = hist.copy()
-            else:
-                mine.merge(hist)
-        for name, g in col.gauges.items():
-            mine = self.gauges.get(name)
-            if mine is None:
-                self.gauges[name] = g.copy()
-            else:
-                mine.merge(g)
-        self.events += len(col.events)
-        self.spans += col._next_span
-        self.dropped += col.dropped
-        for kind, n in col.dropped_kinds.items():
-            self.dropped_kinds[kind] = self.dropped_kinds.get(kind, 0) + n
-        self.flushes += 1
-
     def merge_snapshot(self, payload: dict[str, object]) -> "MetricsRegistry":
         """Fold a ``metrics1`` snapshot (or a bare collector metrics
-        dict) into the registry; used by ``repro metrics report`` to
-        combine shards."""
+        dict) into the registry: a worker's :meth:`drain` fragment, or
+        a shard ``repro metrics report`` combines.  Raises
+        :class:`ValueError` if the payload does not decode."""
+        decoded = _decode(payload)
+        flushes = payload.get("flushes", 1)
+        if not isinstance(flushes, int):
+            raise ValueError(f"malformed flushes count {flushes!r}")
         with self._lock:
-            for name, value in (payload.get("counters") or {}).items():  # type: ignore[union-attr]
-                self.counters[name] = self.counters.get(name, 0) + int(value)
-            for name, t in (payload.get("timers") or {}).items():  # type: ignore[union-attr]
-                self.timers[name] = (self.timers.get(name, 0.0)
-                                     + float(t["seconds"]))
-                self.timer_calls[name] = (self.timer_calls.get(name, 0)
-                                          + int(t.get("calls", 0)))
-            for name, h in (payload.get("histograms") or {}).items():  # type: ignore[union-attr]
-                loaded = Histogram.from_json(h)
-                mine = self.histograms.get(name)
-                if mine is None:
-                    self.histograms[name] = loaded
-                else:
-                    mine.merge(loaded)
-            for name, g in (payload.get("gauges") or {}).items():  # type: ignore[union-attr]
-                loaded_g = Gauge.from_json(g)
-                mine_g = self.gauges.get(name)
-                if mine_g is None:
-                    self.gauges[name] = loaded_g
-                else:
-                    mine_g.merge(loaded_g)
-            self.events += int(payload.get("events", 0))  # type: ignore[arg-type]
-            self.spans += int(payload.get("spans", 0))  # type: ignore[arg-type]
-            self.dropped += int(payload.get("dropped", 0))  # type: ignore[arg-type]
-            for kind, n in (payload.get("dropped_by_kind") or {}).items():  # type: ignore[union-attr]
-                self.dropped_kinds[kind] = \
-                    self.dropped_kinds.get(kind, 0) + int(n)
-            self.flushes += int(payload.get("flushes", 1))  # type: ignore[arg-type]
+            self._totals.adopt(decoded)
+            self.flushes += flushes
         return self
 
     # -- scoping --------------------------------------------------------
 
     @contextmanager
-    def scope(self, record_events: bool | None = None) -> Iterator:
+    def scope(self) -> Iterator:
         """One traced invocation: a fresh child collector, flushed here
         on exit.
 
         The child is installed as the current collector for the
         dynamic extent (contextvar-scoped, so concurrent threads and
-        tasks each see only their own).  ``record_events`` controls
-        whether the child keeps event bodies; by default they are kept
-        only when the registry has a parent collector to adopt them
-        into — metrics-only scopes skip the per-event allocation
-        entirely.
+        tasks each see only their own).  It keeps event bodies only
+        when the registry has a parent collector to adopt them into —
+        metrics-only scopes skip the per-event allocation entirely.
         """
         from repro.obs.collector import Collector, activate, deactivate
 
-        if record_events is None:
-            record_events = self._parent is not None
-        child = Collector(record_events=record_events)
+        child = Collector(record_events=self._parent is not None)
         token = activate(child)
         try:
             yield child
@@ -451,12 +410,7 @@ class MetricsRegistry:
     def snapshot(self) -> dict[str, object]:
         """A JSON-ready ``metrics1`` snapshot with stable key order."""
         with self._lock:
-            return _snapshot_dict(
-                counters=self.counters, timers=self.timers,
-                timer_calls=self.timer_calls, histograms=self.histograms,
-                gauges=self.gauges, events=self.events, spans=self.spans,
-                dropped=self.dropped, dropped_kinds=self.dropped_kinds,
-                flushes=self.flushes)
+            return dict(self._totals.metrics(), flushes=self.flushes)
 
     def drain(self) -> dict[str, object]:
         """Snapshot *and reset*, atomically: the cross-process
@@ -473,50 +427,25 @@ class MetricsRegistry:
         order, and nothing is ever counted twice.
         """
         with self._lock:
-            snap = _snapshot_dict(
-                counters=self.counters, timers=self.timers,
-                timer_calls=self.timer_calls, histograms=self.histograms,
-                gauges=self.gauges, events=self.events, spans=self.spans,
-                dropped=self.dropped, dropped_kinds=self.dropped_kinds,
-                flushes=self.flushes)
-            self.counters = {}
-            self.timers = {}
-            self.timer_calls = {}
-            self.histograms = {}
-            self.gauges = {}
-            self.events = 0
-            self.spans = 0
-            self.dropped = 0
-            self.dropped_kinds = {}
-            self.flushes = 0
-        return snap
+            totals, flushes = self._totals, self.flushes
+            self._totals, self.flushes = _accumulator(), 0
+        return dict(totals.metrics(), flushes=flushes)
 
 
-def _snapshot_dict(*, counters: dict[str, int], timers: dict[str, float],
-                   timer_calls: dict[str, int],
-                   histograms: dict[str, Histogram],
-                   gauges: dict[str, Gauge], events: int, spans: int,
-                   dropped: int, dropped_kinds: dict[str, int],
-                   flushes: int | None = None) -> dict[str, object]:
-    """The shared ``metrics1`` shape (collectors and registries agree)."""
-    out: dict[str, object] = {
-        "schema": SNAPSHOT_SCHEMA,
-        "events": events,
-        "spans": spans,
-        "dropped": dropped,
-        "dropped_by_kind": dict(sorted(dropped_kinds.items())),
-        "counters": dict(sorted(counters.items())),
-        "gauges": {name: gauges[name].to_json()
-                   for name in sorted(gauges)},
-        "histograms": {name: histograms[name].to_json()
-                       for name in sorted(histograms)},
-        "timers": {name: {"seconds": timers[name],
-                          "calls": timer_calls.get(name, 0)}
-                   for name in sorted(timers)},
-    }
-    if flushes is not None:
-        out["flushes"] = flushes
-    return out
+def _accumulator():
+    """A fresh metrics-only collector: a registry's running totals."""
+    from repro.obs.collector import Collector
+
+    return Collector(record_events=False)
+
+
+def _decode(payload: dict[str, object]):
+    """The one ``metrics1`` decoder: a metrics-only collector holding
+    the payload's numbers (:meth:`Collector.from_metrics
+    <repro.obs.collector.Collector.from_metrics>`)."""
+    from repro.obs.collector import Collector
+
+    return Collector.from_metrics(payload)
 
 
 # ---------------------------------------------------------------------------
@@ -531,7 +460,9 @@ def load_snapshot(path: str | Path) -> dict[str, object]:
     server's response envelope — a ``repro client metrics`` capture,
     whose snapshot rides under a ``"metrics"`` key — so serve-mode
     percentiles feed the same ``report``/``diff`` gates as file
-    snapshots.
+    snapshots.  Raises :class:`ValueError` when a section is not an
+    object or a histogram or gauge lacks a field, so every reader
+    rejects a malformed file the same way.
     """
     try:
         payload = json.loads(Path(path).read_text(encoding="utf-8"))
@@ -547,6 +478,10 @@ def load_snapshot(path: str | Path) -> dict[str, object]:
     if schema != SNAPSHOT_SCHEMA:
         raise ValueError(f"{path}: unsupported metrics schema {schema!r} "
                          f"(expected {SNAPSHOT_SCHEMA!r})")
+    try:
+        _decode(payload)
+    except ValueError as err:
+        raise ValueError(f"{path}: {err}") from err
     return payload
 
 

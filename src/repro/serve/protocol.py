@@ -21,8 +21,6 @@ a response echoes the request's ``id`` and carries a ``status``:
 Ops: ``ping`` (liveness), ``metrics`` (one coherent ``metrics1``
 snapshot of the whole process under ``"metrics"``), ``stats`` (cache
 store occupancy), ``flush`` (drop the shared store's memory tiers),
-``invalidate`` (drop everything derived from one ``tk2`` ``digest``:
-32 lowercase hex characters, anything else is a protocol error),
 ``check`` / ``link`` / ``run`` (the pipeline, executed in a worker
 thread under the request's own budget — see
 :mod:`repro.serve.handlers`).
@@ -43,7 +41,6 @@ from typing import Mapping
 from repro.limits import BudgetExceeded
 from repro.serve.chaos import FAULTS
 from repro.serve.handlers import error_payload
-from repro.units.cache import validate_digest
 
 SCHEMA = "serve1"
 
@@ -51,7 +48,7 @@ SCHEMA = "serve1"
 PIPELINE_OPS = ("check", "link", "run")
 
 #: Ops the event loop answers inline (cheap, no budget needed).
-CONTROL_OPS = ("ping", "metrics", "stats", "flush", "invalidate")
+CONTROL_OPS = ("ping", "metrics", "stats", "flush")
 
 OPS = PIPELINE_OPS + CONTROL_OPS
 
@@ -76,12 +73,6 @@ def validate_request(obj: object) -> dict[str, object]:
     if op not in OPS:
         raise ProtocolError(f"unknown op {op!r} (expected one of {OPS})")
     req: dict[str, object] = {"id": obj.get("id"), "op": op}
-    if op == "invalidate":
-        try:
-            req["digest"] = validate_digest(obj.get("digest"))
-        except ValueError as err:
-            raise ProtocolError(f"invalidate: {err}") from None
-        return req
     if op not in PIPELINE_OPS:
         return req
     source = obj.get("source")

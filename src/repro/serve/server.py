@@ -12,7 +12,7 @@ same dispatch threads exist, but each one just ships the validated
 request to a spawned worker over a pipe and blocks on the reply
 (:class:`repro.serve.workers.WorkerPool`).  The loop-side admission
 logic is identical in both modes; control ops that touch per-worker
-state (``flush`` / ``invalidate`` / ``stats``) broadcast to the pool
+state (``flush`` / ``stats``) broadcast to the pool
 from a dedicated single-thread executor so the loop never blocks on a
 pipe.
 
@@ -313,7 +313,7 @@ class LinkServer:
         loop = asyncio.get_running_loop()
         if req["op"] in _protocol.CONTROL_OPS:
             if self._workers is not None and \
-                    req["op"] in ("flush", "invalidate", "stats"):
+                    req["op"] in ("flush", "stats"):
                 # These touch per-worker state; the broadcast blocks
                 # on pipes, so it runs off-loop.
                 return await loop.run_in_executor(
@@ -356,12 +356,9 @@ class LinkServer:
                 workers={"mode": "threads",
                          "workers": self.config.workers},
                 gc=gc_stats())
-        if op == "flush":
-            self.store.clear()
-            return _protocol.ok_response(request_id, value="flushed")
-        # op == "invalidate"
-        removed = self.store.invalidate(req["digest"])
-        return _protocol.ok_response(request_id, removed=removed)
+        # op == "flush"
+        self.store.clear()
+        return _protocol.ok_response(request_id, value="flushed")
 
     def _pool_control(self, req: dict[str, object]) -> dict[str, object]:
         """Control ops in process mode: broadcast to every worker
@@ -371,11 +368,6 @@ class LinkServer:
         if op == "flush":
             self._workers.broadcast("flush")
             return _protocol.ok_response(request_id, value="flushed")
-        if op == "invalidate":
-            removed = sum(int(count) for count in
-                          self._workers.broadcast("invalidate",
-                                                  req["digest"]))
-            return _protocol.ok_response(request_id, removed=removed)
         # op == "stats": per-worker occupancy and collector counts
         # summed, plus the pool's death/respawn bookkeeping.
         per_worker = self._workers.broadcast("stats")

@@ -42,7 +42,7 @@ Design decisions, in order of importance:
   (``serve.worker_deaths`` / ``serve.worker_respawns`` /
   ``serve.requeued``) and reported by the ``stats`` op.
 
-Control ops (``flush`` / ``invalidate`` / ``stats``) broadcast to
+Control ops (``flush`` / ``stats``) broadcast to
 every worker between requests: :meth:`WorkerPool.broadcast` collects
 each worker from the idle queue (waiting for in-flight work to
 finish), runs the op, and returns the per-worker results the server
@@ -117,13 +117,10 @@ def _worker_main(conn, config: "ServeConfig") -> None:
         if msg[0] == _EXIT:
             break
         if msg[0] == _CTL:
-            op, arg = msg[1], msg[2]
-            if op == "flush":
+            if msg[1] == "flush":
                 store.clear()
                 result: object = "flushed"
-            elif op == "invalidate":
-                result = store.invalidate(arg)
-            else:  # op == "stats"
+            else:  # "stats"
                 result = {"pid": os.getpid(),
                           "occupancy": store.occupancy(),
                           "gc": gc_stats()}
@@ -280,7 +277,7 @@ class WorkerPool:
 
     # -- control-op broadcast -------------------------------------------
 
-    def broadcast(self, op: str, arg: object = None) -> list:
+    def broadcast(self, op: str) -> list:
         """Run one control op on every worker; per-worker results.
 
         Collects each worker from the idle queue (so the op runs
@@ -301,7 +298,7 @@ class WorkerPool:
                         break  # degraded pool; act on what we have
                 for index, worker in enumerate(list(held)):
                     try:
-                        worker.conn.send((_CTL, op, arg))
+                        worker.conn.send((_CTL, op))
                         _tag, result = worker.conn.recv()
                         results.append(result)
                     except (EOFError, OSError):

@@ -44,13 +44,10 @@ structurally identical and last-put wins); what the locks rule out is
 half-written disk entry (writes go to a unique temp file and
 ``os.replace`` into place), or a concurrent unlink-on-corrupt.
 
-Eviction and invalidation: every store is size-bounded (LRU); keys
-are content digests, so an entry never goes stale.
-:meth:`CacheStore.invalidate` removes every entry derived from a given
-``tk2`` digest — memory entries whose key embeds the digest and the
-digest's pycode disk file — so a serving process can drop one unit's
-results without flushing the world.  :func:`validate_digest` rejects
-anything but a ``tk2`` digest before it can become a disk path.
+Eviction: every store is size-bounded (LRU); keys are content
+digests, so an entry never goes stale and nothing needs invalidating.
+:meth:`CacheStore.clear` empties the in-memory stores (the serve
+``flush`` op).
 
 Every lookup emits exactly one ``cache.hit`` or ``cache.miss`` event
 (guarded, so nothing is built when observability is off) carrying the
@@ -65,7 +62,6 @@ from __future__ import annotations
 
 import hashlib
 import os
-import re
 import threading
 import time
 from collections import OrderedDict
@@ -124,47 +120,12 @@ class TermCache:
                 col.emit("cache.evict", {"cache": self.name})
             col.gauge(f"cache.occupancy.{self.name}", len(self._table))
 
-    def delete(self, key: object) -> int:
-        """Drop one entry; returns how many entries were removed."""
-        with self._lock:
-            return 1 if self._table.pop(key, _MISS) is not _MISS else 0
-
-    def matching(self, digest: str) -> list[object]:
-        """Keys that embed ``digest`` (directly or inside a tuple)."""
-        with self._lock:
-            keys = list(self._table)
-        return [key for key in keys if _key_contains(key, digest)]
-
     def __len__(self) -> int:
         return len(self._table)
 
     def clear(self) -> None:
         with self._lock:
             self._table.clear()
-
-
-_TK1_DIGEST = re.compile(r"[0-9a-f]{32}")
-
-
-def validate_digest(digest: object) -> str:
-    """Return ``digest`` if it is a ``tk2`` term digest (exactly 32
-    lowercase hex characters, as :func:`repro.lang.terms.term_key`
-    makes), else raise ``ValueError``: :meth:`CacheStore.invalidate`
-    builds a disk path from it, so an absolute path or a ``../`` must
-    never get that far."""
-    if not isinstance(digest, str) or not _TK1_DIGEST.fullmatch(digest):
-        raise ValueError(
-            f"not a {_terms.SCHEMA} digest (32 lowercase hex "
-            f"characters): {digest!r}")
-    return digest
-
-
-def _key_contains(key: object, digest: str) -> bool:
-    if key == digest:
-        return True
-    if isinstance(key, tuple):
-        return any(_key_contains(part, digest) for part in key)
-    return False
 
 
 class CacheStore:
@@ -205,29 +166,6 @@ class CacheStore:
     def occupancy(self) -> dict[str, int]:
         """Entries resident per store, for stats endpoints."""
         return {cache.name: len(cache) for cache in self.caches}
-
-    def invalidate(self, digest: str) -> int:
-        """Drop every entry derived from one ``tk2`` digest.
-
-        Covers memory entries whose key embeds the digest (pycode and
-        flatten) and the digest's pycode disk file.  Returns how many
-        entries were removed; raises ``ValueError`` for anything but a
-        ``tk2`` digest (see :func:`validate_digest`).
-        """
-        validate_digest(digest)
-        removed = 0
-        for cache in self.caches:
-            for key in cache.matching(digest):
-                removed += cache.delete(key)
-        path = self._disk_path(digest)
-        if path is not None:
-            with self._digest_lock(digest):
-                try:
-                    path.unlink()
-                    removed += 1
-                except OSError:
-                    pass
-        return removed
 
     # -- the pycode disk tier -------------------------------------------
 

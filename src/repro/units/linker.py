@@ -226,25 +226,13 @@ def link_and_optimize(
     import time as _time
 
     stats = LinkStats()
-    col = _obs_current()
-    if col is not None:
-        with col.timed("link.flatten"):
-            t0 = _time.perf_counter()
-            flat = flatten(expr, stats)
-            t1 = _time.perf_counter()
-        with col.timed("link.optimize"):
-            optimized = optimize_expr(flat)
-            if isinstance(optimized, UnitExpr):
-                optimized = optimize_unit(optimized)
-            t2 = _time.perf_counter()
-    else:
-        t0 = _time.perf_counter()
-        flat = flatten(expr, stats)
-        t1 = _time.perf_counter()
-        optimized = optimize_expr(flat)
-        if isinstance(optimized, UnitExpr):
-            optimized = optimize_unit(optimized)
-        t2 = _time.perf_counter()
+    t0 = _time.perf_counter()
+    flat = flatten(expr, stats)
+    t1 = _time.perf_counter()
+    optimized = optimize_expr(flat)
+    if isinstance(optimized, UnitExpr):
+        optimized = optimize_unit(optimized)
+    t2 = _time.perf_counter()
     if timings is not None:
         timings["flatten"] = t1 - t0
         timings["optimize"] = t2 - t1

@@ -86,8 +86,6 @@ def test_link_fault_reported_identically(fault, host):
     assert str(info.value) == message
 
 
-# The rewriting machine words a non-unit target its own way (it sees
-# syntax, not values); the value-level evaluators write the value.
 NOT_A_UNIT = {
     "invoke-procedure": ("(invoke (lambda () 1))",
                          "invoke: expected a unit, got "
@@ -95,10 +93,20 @@ NOT_A_UNIT = {
     "compound-procedure": (_compound("(lambda () 1)", PLAIN),
                            "compound: expected a unit, got "
                            "#<procedure:<anonymous>>"),
+    # Passed through a procedure, so no checker rejects the non-unit
+    # before run time.
+    "invoke-number": ("(invoke ((lambda (u) u) 5))",
+                      "invoke: expected a unit, got 5"),
+    "invoke-string": ('(invoke ((lambda (u) u) "s"))',
+                      'invoke: expected a unit, got "s"'),
+    "invoke-primitive": ("(invoke ((lambda (u) u) car))",
+                         "invoke: expected a unit, got #<primitive:car>"),
+    "compound-second-number": (_compound(PLAIN, "((lambda (u) u) 5)"),
+                               "compound: expected a unit, got 5"),
 }
 
 
-@pytest.mark.parametrize("host", ["interp", "pycode", "served-link"])
+@pytest.mark.parametrize("host", sorted(HOSTS))
 @pytest.mark.parametrize("fault", sorted(NOT_A_UNIT))
 def test_non_unit_reported_identically(fault, host):
     source, message = NOT_A_UNIT[fault]

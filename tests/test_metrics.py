@@ -20,6 +20,7 @@ import asyncio
 import json
 import math
 import threading
+from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 
 import hypothesis.strategies as st
@@ -206,16 +207,18 @@ def traced_work(n: int) -> None:
 
 
 class TestMetricsRegistry:
-    def test_scope_flushes_counters_timers_histograms(self):
+    def test_scope_flushes_counters_histograms_gauges(self):
         reg = MetricsRegistry()
         with reg.scope():
             traced_work(1)
-        assert reg.counters["check.unit"] == 1
-        assert reg.counters["work.done"] == 1
-        assert reg.histograms["unit.compile"].count == 1
-        assert reg.gauges["cache.occupancy.compile"].last == 1.0
-        assert reg.flushes == 1
-        assert reg.spans == 2
+        snap = reg.snapshot()
+        assert snap["counters"]["check.unit"] == 1
+        assert snap["counters"]["work.done"] == 1
+        assert snap["histograms"]["unit.compile"]["count"] == 1
+        assert snap["gauges"]["cache.occupancy.compile"]["last"] == 1.0
+        assert snap["flushes"] == 1
+        assert snap["spans"] == 2
+        assert "timers" not in snap
 
     def test_scope_restores_previous_collector(self):
         reg = MetricsRegistry()
@@ -230,8 +233,9 @@ class TestMetricsRegistry:
             traced_work(1)
         assert child.events == []
         assert child.dropped == 0  # opted out, not truncated
-        assert reg.events == 0
-        assert reg.counters["check.unit"] == 1
+        snap = reg.snapshot()
+        assert snap["events"] == 0
+        assert snap["counters"]["check.unit"] == 1
 
     def test_direct_recording(self):
         reg = MetricsRegistry()
@@ -265,6 +269,17 @@ class TestMetricsRegistry:
         assert snap["histograms"]["check.unit"]["count"] == 2
         assert snap["flushes"] == 2
 
+    def test_older_snapshot_with_timers_loads_and_merges(self, tmp_path):
+        reg = MetricsRegistry()
+        with reg.scope():
+            traced_work(1)
+        old = dict(reg.snapshot(),
+                   timers={"check.unit": {"seconds": 0.5, "calls": 1}})
+        path = tmp_path / "old.json"
+        path.write_text(json.dumps(old))
+        merged = obs.merge_snapshot_files([path])
+        assert merged == reg.snapshot()  # the timers block is ignored
+
     def test_load_snapshot_rejects_junk(self, tmp_path):
         bad = tmp_path / "bad.json"
         bad.write_text("[1, 2, 3]\n")
@@ -279,6 +294,11 @@ class TestMetricsRegistry:
         unversioned.write_text(json.dumps({"counters": {}}))
         with pytest.raises(ValueError):
             obs.load_snapshot(unversioned)
+        for name, payload in MALFORMED.items():
+            path = tmp_path / f"{name}.json"
+            path.write_text(json.dumps(payload))
+            with pytest.raises(ValueError):
+                obs.load_snapshot(path)
 
     def test_load_snapshot_unwraps_envelope_under_the_schema_gate(
             self, tmp_path):
@@ -296,8 +316,82 @@ class TestMetricsRegistry:
             obs.load_snapshot(unversioned)
 
 
+#: Well-versioned snapshots that still do not decode: a histogram
+#: missing a field, and a section that is not an object.
+MALFORMED = {
+    "histogram_without_min": {
+        "schema": "metrics1", "counters": {},
+        "histograms": {"x": {"count": 2, "sum": 1.0,
+                             "buckets": [[3, 2]]}}},
+    "counters_not_an_object": {"schema": "metrics1", "counters": []},
+}
+
+
+_kinds = st.sampled_from(["check.unit", "unit.compile", "link.static"])
+_collector_ops = st.lists(st.one_of(
+    st.tuples(st.just("span"), _kinds, st.just(None)),
+    st.tuples(st.just("emit"), _kinds, st.just(None)),
+    st.tuples(st.just("count"), st.sampled_from(["a", "b"]),
+              st.integers(1, 5)),
+    st.tuples(st.just("observe"), st.sampled_from(["lat", "wait"]),
+              values),
+    st.tuples(st.just("gauge"), st.sampled_from(["level", "depth"]),
+              st.floats(min_value=-50.0, max_value=50.0,
+                        allow_nan=False)),
+), max_size=12)
+
+
+def _recorded(ops, record_events: bool, max_events: int) -> obs.Collector:
+    """A finished collector holding ``ops``; a small ``max_events``
+    makes a recording collector drop events."""
+    col = obs.Collector(max_events=max_events,
+                        record_events=record_events)
+    for op, name, value in ops:
+        if op == "span":
+            with col.span(name):
+                col.emit("reduce.step")
+        elif op == "emit":
+            col.emit(name)
+        else:
+            getattr(col, op)(name, value)
+    return col
+
+
 WORKERS = 8
 ITERATIONS = 25
+
+
+class TestFoldRoutesAgree:
+    @settings(deadline=None, max_examples=60)
+    @given(items=st.lists(
+        st.tuples(_collector_ops, st.booleans(), st.integers(0, 6),
+                  st.integers(0, 2)),
+        max_size=6))
+    def test_absorb_equals_worker_drain_then_merge(self, items):
+        """The thread-mode route (every collector absorbed into one
+        registry) and the process-mode route (each collector absorbed
+        by its worker's registry, drained, and the fragment merged
+        into the parent) give equal snapshots."""
+        direct = MetricsRegistry()
+        parent = MetricsRegistry()
+        workers = [MetricsRegistry() for _ in range(3)]
+        cols = []
+        for ops, record_events, max_events, worker in items:
+            col = _recorded(ops, record_events, max_events)
+            cols.append(col)
+            direct.absorb(col)
+            workers[worker].absorb(col)
+            parent.merge_snapshot(workers[worker].drain())
+        snap = direct.snapshot()
+        assert parent.snapshot() == snap
+        assert all(w.snapshot()["flushes"] == 0 for w in workers)
+        # And both equal the plain sums over the collectors.
+        assert snap["flushes"] == len(cols)
+        assert snap["events"] == sum(len(c.events) for c in cols)
+        assert snap["spans"] == sum(c.metrics()["spans"] for c in cols)
+        assert snap["dropped"] == sum(c.dropped for c in cols)
+        assert snap["counters"] == dict(sum(
+            (Counter(c.counters) for c in cols), Counter()))
 
 
 class TestConcurrency:
@@ -327,13 +421,14 @@ class TestConcurrency:
 
         assert len(per_child) == WORKERS
         assert obs.validate_spans(parent.events) == []
-        assert parent.dropped == 0 and reg.dropped == 0
+        snap = reg.snapshot()
+        assert parent.dropped == 0 and snap["dropped"] == 0
         assert parent.counters.get("trace.dropped", 0) == 0
         total = WORKERS * ITERATIONS
-        assert reg.counters["check.unit"] == total
-        assert reg.counters["work.done"] == total
+        assert snap["counters"]["check.unit"] == total
+        assert snap["counters"]["work.done"] == total
         assert parent.counters["check.unit"] == total
-        assert reg.histograms["check.unit"].count == total
+        assert snap["histograms"]["check.unit"]["count"] == total
         assert parent.histograms["check.unit"].count == total
         assert sum(m["counters"]["check.unit"] for m in per_child) == total
         # Disjointness: every span id in the adopted trace is unique.
@@ -354,9 +449,10 @@ class TestConcurrency:
         with ThreadPoolExecutor(max_workers=WORKERS) as pool:
             for f in [pool.submit(request, w) for w in range(WORKERS)]:
                 f.result()
-        assert reg.counters["check.unit"] == WORKERS
-        assert reg.events == 0
-        assert reg.flushes == WORKERS
+        snap = reg.snapshot()
+        assert snap["counters"]["check.unit"] == WORKERS
+        assert snap["events"] == 0
+        assert snap["flushes"] == WORKERS
 
     def test_asyncio_tasks_are_isolated(self):
         parent = obs.Collector()
@@ -374,7 +470,7 @@ class TestConcurrency:
 
         asyncio.run(drive())
         assert obs.validate_spans(parent.events) == []
-        assert reg.counters["check.unit"] == 12
+        assert reg.snapshot()["counters"]["check.unit"] == 12
         assert parent.histograms["check.unit"].count == 12
 
     def test_registry_direct_recording_is_thread_safe(self):
@@ -391,8 +487,9 @@ class TestConcurrency:
             t.start()
         for t in threads:
             t.join()
-        assert reg.counters["n"] == 4000
-        assert reg.histograms["lat"].count == 4000
+        snap = reg.snapshot()
+        assert snap["counters"]["n"] == 4000
+        assert snap["histograms"]["lat"]["count"] == 4000
 
 
 class TestAdoption:
@@ -535,6 +632,21 @@ class TestMetricsCli:
         bad.write_text("{nope")
         assert main(["metrics", "report", str(bad)]) == 2
         assert "error:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("name", sorted(MALFORMED))
+    def test_malformed_snapshot_exits_2_not_regression(self, tmp_path,
+                                                       capsys, name):
+        """A file that does not decode is an input error (exit 2) for
+        both commands, never a traceback, and never ``diff``'s exit 1
+        (which means "regression")."""
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(MALFORMED[name]))
+        good = self._write_snapshot(tmp_path)
+        for argv in (["metrics", "report", str(bad)],
+                     ["metrics", "diff", str(good), str(bad)],
+                     ["metrics", "diff", str(bad), str(good)]):
+            assert main(argv) == 2
+            assert capsys.readouterr().err.startswith("error: ")
 
     def test_diff_ok_and_regression_exit_codes(self, tmp_path, capsys):
         base = self._write_snapshot(tmp_path, "base.json", rounds=1)

@@ -130,22 +130,6 @@ class TestCollector:
         col.count("cells")
         assert col.counters["cells"] == 4
 
-    def test_timed_accumulates_time_and_calls(self):
-        col = Collector()
-        with col.timed("work"):
-            pass
-        with col.timed("work"):
-            pass
-        assert col.timer_calls["work"] == 2
-        assert col.timers["work"] >= 0.0
-
-    def test_timed_records_on_exception(self):
-        col = Collector()
-        with pytest.raises(ValueError):
-            with col.timed("work"):
-                raise ValueError
-        assert col.timer_calls["work"] == 1
-
     def test_kinds_and_families(self):
         col = Collector()
         col.emit("reduce.step")
@@ -157,13 +141,14 @@ class TestCollector:
     def test_metrics_snapshot_shape(self):
         col = Collector()
         col.emit("reduce.step")
-        with col.timed("work"):
+        with col.span("check.unit"):
             pass
         snap = col.metrics()
-        assert snap["events"] == 1
+        assert snap["events"] == 3
         assert snap["dropped"] == 0
-        assert snap["counters"] == {"reduce.step": 1}
-        assert snap["timers"]["work"]["calls"] == 1
+        assert snap["counters"] == {"reduce.step": 1, "check.unit": 1}
+        assert snap["histograms"]["check.unit"]["count"] == 1
+        assert "timers" not in snap
         json.dumps(snap)  # must be JSON-ready
 
 
@@ -379,15 +364,6 @@ class TestSpans:
         with col.span("unit.invoke") as sp:
             sp.annotate(dur="lies")
         assert col.events[-1].fields["dur"] != "lies"
-
-    def test_self_time_accumulates_into_timers(self):
-        col = Collector()
-        with col.span("reduce.machine"):
-            pass
-        with col.span("reduce.machine"):
-            pass
-        assert col.timer_calls["reduce.machine"] == 2
-        assert col.timers["reduce.machine"] >= 0.0
 
     def test_metrics_reports_span_count(self):
         col = Collector()

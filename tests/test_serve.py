@@ -244,19 +244,6 @@ class TestServerEndToEnd:
         assert snap["counters"]["serve.requests"] == 1
         assert snap["dropped"] == 0
 
-    def test_invalidate_over_the_wire(self, tmp_path):
-        from repro.lang import terms
-        from repro.lang.parser import parse_program
-
-        digest = terms.term_key(parse_program(GREET))
-        with ServerThread(ServeConfig(cache_dir=str(tmp_path))) as st:
-            with ServeClient(st.host, st.port) as client:
-                client.request("run", source=GREET)
-                first = client.request("invalidate", digest=digest)
-                second = client.request("invalidate", digest=digest)
-        assert first["removed"] >= 1
-        assert second["removed"] == 0  # idempotent
-
     def test_admission_control_sheds_overload(self):
         # One worker, no queue: while a slow chaotic request holds the
         # only slot, concurrent pipelined requests are shed with

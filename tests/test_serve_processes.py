@@ -19,7 +19,7 @@ Also covered here:
 * the pool's crash taxonomy: a ``worker-kill`` request fails with
   ``WorkerCrashed`` on process servers and is inert by design on the
   thread server (there is no process to lose);
-* control-op parity: ``stats``/``flush``/``invalidate`` answer with
+* control-op parity: ``stats``/``flush`` answer with
   the same shapes in both modes (plus the ``workers`` descriptor);
 * collector telemetry: ``stats`` carries a ``gc`` block, and a
   spawned ``repro serve`` and every worker process run with the
@@ -231,54 +231,6 @@ class TestProcessModeControlOps:
                 assert client.request("flush")["value"] == "flushed"
                 drained = client.request("stats")["occupancy"]
                 assert all(n == 0 for n in drained.values())
-
-    def test_invalidate_sums_across_workers(self, tmp_path):
-        from repro.lang import terms
-        from repro.lang.parser import parse_program
-
-        digest = terms.term_key(parse_program(GREET))
-        config = ServeConfig(processes=2, cache_dir=str(tmp_path),
-                             default_deadline_s=60.0)
-        with ServerThread(config) as st:
-            with ServeClient(st.host, st.port,
-                             timeout_s=120.0) as client:
-                # Warm both workers so the digest lives in two
-                # private stores at once.
-                client.request("run", source=GREET)
-                client.request("run", source=GREET)
-                first = client.request("invalidate", digest=digest)
-                second = client.request("invalidate", digest=digest)
-        assert first["removed"] >= 2  # at least one entry per worker
-        assert second["removed"] == 0  # idempotent across the pool
-
-    @pytest.mark.parametrize("processes", [0, 2],
-                             ids=["threads", "processes"])
-    def test_invalidate_rejects_path_digests(self, tmp_path, processes):
-        """A digest names a cache entry, never a path: an absolute or
-        ``../`` digest is a protocol error, and the ``.py`` file it
-        points at survives."""
-        from repro.lang import terms
-
-        victim = tmp_path / "victim" / "keep.py"
-        victim.parent.mkdir()
-        victim.write_text("keep = True\n")
-        cache_dir = tmp_path / "cache"
-        pycode_dir = cache_dir / f"v1-{terms.SCHEMA}" / "pycode"
-        escape = os.path.relpath(victim.with_suffix(""), pycode_dir)
-        config = ServeConfig(processes=processes,
-                             cache_dir=str(cache_dir),
-                             default_deadline_s=60.0)
-        with ServerThread(config) as st:
-            with ServeClient(st.host, st.port,
-                             timeout_s=120.0) as client:
-                client.request("run", source=GREET)
-                for digest in (str(victim.with_suffix("")), escape):
-                    response = client.request("invalidate", digest=digest)
-                    assert response["status"] == "error", response
-                    assert response["error"]["type"] == "ProtocolError"
-                assert client.request("ping")["status"] == "ok"
-        assert pycode_dir.is_dir()  # the escape was aimed from here
-        assert victim.read_text() == "keep = True\n"
 
     def test_thread_mode_stats_names_its_mode(self):
         with ServerThread(ServeConfig(workers=3)) as st:

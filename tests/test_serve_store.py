@@ -1,17 +1,15 @@
-"""The shared ``CacheStore``: concurrency, eviction, invalidation.
+"""The shared ``CacheStore``: concurrency, eviction, disk hardening.
 
 The link server's tentpole refactor promotes the per-invocation unit
 caches to one long-lived, lock-protected store shared by every worker
 thread.  These tests stress exactly the properties the server leans
 on:
 
-* concurrent hits/misses/evictions/invalidations over one store
+* concurrent hits/misses/evictions over one store
   never produce a torn read — every lookup returns either a miss or
   the one structurally correct value for its key — and every lookup
   emits exactly one ``cache.hit``/``cache.miss`` event (the
   cache-invariant the differential sweeps rely on);
-* ``invalidate(digest)`` removes the digest's memory entries and its
-  pycode disk file, and accepts nothing but a ``tk2`` digest;
 * disk writes are atomic (no ``.tmp`` residue, concurrent writers
   never produce a torn entry) and corrupt entries are unlinked and
   reported as misses;
@@ -23,15 +21,11 @@ on:
 import threading
 from concurrent.futures import ThreadPoolExecutor
 
-import pytest
-
 from repro import obs
 from repro.lang import terms
 from repro.lang.parser import parse_program
 from repro.units import cache as ucache
 from repro.units.cache import CacheStore, cache_store_scope
-from repro.units.check import check_program
-from repro.units.linker import link_and_optimize
 from repro.serve.handlers import run_pipeline
 
 
@@ -65,7 +59,7 @@ def _main_of(code) -> object:
 
 class TestConcurrentStore:
     def test_stress_no_torn_reads_and_invariant_events(self, tmp_path):
-        """Hits, misses, LRU evictions, and invalidations race across
+        """Hits, misses, and LRU evictions race across
         8 threads; every result is structurally correct and every
         lookup emits exactly one hit-or-miss event."""
         programs = _programs(12)
@@ -84,8 +78,6 @@ class TestConcurrentStore:
                                                lambda i=i: _module(i))
                     if _main_of(out) != i:
                         errors.append(f"torn read for key {keys[i]}")
-                    if step % 17 == worker % 17:
-                        store.invalidate(keys[i])
                 looked_up = sum(
                     1 for e in col.events
                     if e.kind in ("cache.hit", "cache.miss")
@@ -148,63 +140,6 @@ class TestConcurrentStore:
             list(pool.map(hammer, range(8)))
         assert errors == []
         assert len(lru) == lru.maxsize
-
-
-class TestInvalidation:
-    def test_invalidate_memory_and_disk(self, tmp_path):
-        source = """
-        (invoke (compound (import) (export out)
-          (link ((unit (import) (export mk)
-                   (define mk (lambda (x) (* x 2))) mk)
-                 (with) (provides mk))
-                ((unit (import mk) (export out)
-                   (define out (lambda () (mk 21))) (out))
-                 (with mk) (provides out)))))
-        """
-        program = parse_program(source)
-        compound = program.expr
-        store = CacheStore(tmp_path)
-        with cache_store_scope(store):
-            check_program(program)
-            link_and_optimize(program)
-            ucache.cached_pycode(compound, lambda: _module(42))
-        key = terms.term_key(compound)
-        assert store.flatten.matching(key) and len(store.pycode) == 1
-        assert store.invalidate(key) >= 3  # flatten + pycode + disk
-        # The compound's flatten entry and its pycode entry (memory
-        # and disk) embed the compound digest; all are gone.
-        assert not store.flatten.matching(key)
-        assert len(store.pycode) == 0
-        disk = tmp_path / f"v1-{terms.SCHEMA}"
-        assert not list(disk.glob(f"*/{key}.*"))
-
-    def test_invalidate_plain_digest_entries(self, tmp_path):
-        program = _programs(1)[0]
-        key = terms.term_key(program)
-        store = CacheStore(tmp_path)
-        with cache_store_scope(store):
-            ucache.cached_pycode(program, lambda: _module(0))
-            ucache.flatten_store((key, (), ()), ("flattened",))
-        assert len(store.pycode) == 1 and len(store.flatten) == 1
-        assert store.invalidate(key) >= 3  # memory x2 + disk file
-        assert len(store.pycode) == 0 and len(store.flatten) == 0
-        with cache_store_scope(store), obs.collecting() as col:
-            ucache.cached_pycode(program, lambda: _module(0))
-        kinds = [e.kind for e in col.events
-                 if e.fields.get("cache") == "pycode"]
-        assert kinds == ["cache.miss"]
-
-    def test_path_digest_cannot_unlink_outside_the_cache(self, tmp_path):
-        victim = tmp_path / "victim" / "keep.py"
-        victim.parent.mkdir()
-        victim.write_text("keep = True\n")
-        store = CacheStore(tmp_path / "cache")
-        escape = "../../../victim/keep"
-        assert store._disk_path(escape).resolve() == victim.resolve()
-        for digest in (str(victim.with_suffix("")), escape):
-            with pytest.raises(ValueError):
-                store.invalidate(digest)
-        assert victim.exists()
 
 
 class TestDiskTierHardening:

@@ -153,7 +153,8 @@ class TestTermKeyShape:
         assert terms.term_key(outer) != alone
         assert unit._tk == alone
 
-    def test_invalidate_drops_the_programs_pycode_entry(self, tmp_path):
+    def test_the_programs_pycode_disk_entry_is_named_by_its_digest(
+            self, tmp_path):
         program = parse_program(COMPOUND_SRC)
         with unit_cache_scope(tmp_path) as store:
             assert backend.compile_program(program).run()[0] is True
@@ -161,8 +162,7 @@ class TestTermKeyShape:
             disk = tmp_path / f"v1-{terms.SCHEMA}" / "pycode"
             assert terms.SCHEMA == "tk2"
             assert [p.name for p in disk.iterdir()] == [f"{key}.py"]
-            assert store.invalidate(key) >= 2  # memory + disk
-            assert len(store.pycode) == 0 and not list(disk.iterdir())
+            assert len(store.pycode) == 1
 
 
 class TestCachingSwitch:
