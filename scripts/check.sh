@@ -261,7 +261,7 @@ pycode_trace="$(mktemp)"
 trap 'rm -f "$trace_file" "$metrics_file" "$bench_out" "$bench_snap" \
     "$pycode_trace"; rm -rf "$pycode_cache_dir"' EXIT
 # Two demo runs against one cache dir: the first populates
-# v1-tk2/pycode/, the second must serve the code object from it.
+# <fingerprint>/pycode/, the second must serve the code object from it.
 python -m repro --cache-dir "$pycode_cache_dir" \
     demo --backend pycode examples/phonebook.scm
 python -m repro --cache-dir "$pycode_cache_dir" --trace "$pycode_trace" \
@@ -271,6 +271,7 @@ python - "$pycode_trace" "$pycode_cache_dir" <<'EOF'
 import pathlib
 import sys
 from repro.obs import read_jsonl
+from repro.units.cache import pycode_fingerprint
 
 events = read_jsonl(sys.argv[1])
 hits = [e for e in events if e.kind == "cache.hit"
@@ -282,6 +283,9 @@ assert not misses, \
     f"second pycode demo run missed the codegen cache {len(misses)}x"
 entries = list(pathlib.Path(sys.argv[2]).rglob("pycode/*.py"))
 assert entries, "codegen disk tier wrote no entries"
+layout = pathlib.Path(sys.argv[2]) / pycode_fingerprint() / "pycode"
+assert all(entry.parent == layout for entry in entries), \
+    f"disk entries outside the fingerprinted directory {layout}"
 print(f"pycode cache ok: {len(hits)} hit(s), 0 misses, "
       f"{len(entries)} disk entr{'y' if len(entries) == 1 else 'ies'}")
 EOF

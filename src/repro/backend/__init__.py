@@ -12,13 +12,15 @@ backend is observationally equivalent and only faster.
     program = backend.compile_program(linked_expr)
     value, output = program.run()
 
-Generated source and code objects are cached content-addressed on the
-program's ``tk2`` digest (memory LRU + the ``--cache-dir`` disk tier
-at ``v1-tk2/pycode/<digest>.py``), via
-:func:`repro.units.cache.cached_pycode`.
+A served program's code object rides on its parse entry, so a repeat
+of the same text reuses it; generated source also persists in the
+``--cache-dir`` disk tier, keyed on the program's ``tk2`` digest
+(:func:`repro.units.cache.cached_pycode`).
 """
 
 from __future__ import annotations
+
+from types import CodeType
 
 from repro import limits as _limits
 from repro import obs
@@ -44,29 +46,23 @@ class PyProgram:
         """Evaluate against a fresh :class:`Runtime`; returns
         ``(value, captured output)``."""
         rt = Runtime(port)
-        col = obs.current()
-        if col is None:
+        with obs.span("pycode.exec", {}):
             value = self._main(rt)
-        else:
-            with col.span("pycode.exec", {}):
-                value = self._main(rt)
         return value, rt.port.getvalue()
 
 
-def compile_program(expr: Expr) -> PyProgram:
+def compile_program(expr: Expr, code: CodeType | None = None) -> PyProgram:
     """Lower a checked (and preferably linked) program to Python.
 
-    The ``pycode.codegen`` span fires whether or not the codegen cache
-    supplied the code object, keeping event counts cache-invariant
-    like every other store in :mod:`repro.units.cache`.
+    ``code`` is a code object already compiled from ``expr`` (its
+    parse entry's), reused instead of generating.  The
+    ``pycode.codegen`` span fires whether or not a cache supplied the
+    code object, keeping event counts cache-invariant like every other
+    store in :mod:`repro.units.cache`.
     """
     budget = _limits.current()
     if budget is not None:
         budget.check_deadline(getattr(expr, "loc", None))
-    col = obs.current()
-    if col is None:
-        code = cached_pycode(expr, lambda: generate_source(expr))
-    else:
-        with col.span("pycode.codegen", {}):
-            code = cached_pycode(expr, lambda: generate_source(expr))
+    with obs.span("pycode.codegen", {}):
+        code = cached_pycode(expr, lambda: generate_source(expr), code)
     return PyProgram(code)

@@ -13,8 +13,10 @@ shape: a fresh counter names every temporary, and the only external
 names baked into the source are the fixed primitive/prelude table and
 the handful of runtime helpers injected by
 :func:`repro.backend.runtime.load_main`.  That determinism is what
-makes the emitted source safe to cache content-addressed on the
-program's ``tk2`` digest (:func:`repro.units.cache.cached_pycode`).
+makes the emitted source safe to reuse per program text (the parse
+entry's code) and to cache on disk content-addressed on the program's
+``tk2`` digest, under a directory named for this module's and the
+runtime's sources (:func:`repro.units.cache.cached_pycode`).
 
 Compilation strategy, node by node:
 

@@ -405,7 +405,7 @@ def cmd_demo(args: argparse.Namespace) -> int:
         # One more evaluator: compile the linked program to Python
         # closures and hold it to the interpreter's result.  A second
         # demo run with the same --cache-dir serves the code object
-        # from the pycode store (the check.sh smoke asserts this).
+        # from the pycode disk tier (the check.sh smoke asserts this).
         from repro import backend as _backend
 
         program = _backend.compile_program(linked)

@@ -222,9 +222,9 @@ class UnitArchive:
             # includes the origin so cached locations stay truthful.
             # Figure 7's checks below always run: the parse entry's
             # check verdict is the served pipeline's, not retrieval's.
-            expr, _verdict = _cache.cached_parse(
-                origin + "\x00" + entry.source,
-                lambda: parse_program(entry.source, origin=origin))
+            expr = _cache.cached_parse(
+                "parse_program", origin, entry.source,
+                lambda: parse_program(entry.source, origin=origin)).expr
         except BudgetExceeded:
             raise
         except Exception as err:

@@ -151,21 +151,22 @@ def run_pipeline(req: Mapping[str, object], timings: dict[str, float],
     libraries = req.get("libraries", ())
     strict = not req.get("lenient", False)
     # Warm requests re-send the same source text, so parse through the
-    # content-addressed parse store (keyed on the full text, origin
-    # prepended exactly as the archive layer does).
-    parse_key = origin + "\x00" + source
+    # content-addressed parse store: one entry per text (libraries
+    # included), carrying the check verdict and the compiled code.
     with _stage_span("stage.parse", timings):
-        expr, verdict = _ucache.cached_parse(
-            parse_key, lambda: parse_script(source, origin=origin))
-        expr = with_libraries(expr, libraries)
+        entry = _ucache.cached_parse(
+            "parse_script", origin, source,
+            lambda: with_libraries(parse_script(source, origin=origin),
+                                   libraries),
+            libraries)
+    expr = entry.expr
     with _stage_span("stage.check", timings):
         # Figure 10 depends only on syntax, so a text that passed in
-        # this strictness mode passes again.  With libraries the
-        # checked program is not the parsed text: no verdict either way.
-        if libraries or strict not in verdict:
+        # this strictness mode passes again.
+        if strict not in entry.verdict:
             check_program(expr, strict_valuable=strict)
-            if not libraries:
-                _ucache.record_verdict(parse_key, expr, verdict | {strict})
+            entry = _ucache.record_entry(
+                entry._replace(verdict=entry.verdict | {strict}))
     if op == "check":
         return "ok", ""
     if op == "link":
@@ -184,18 +185,23 @@ def run_pipeline(req: Mapping[str, object], timings: dict[str, float],
             _archive_roundtrip(expr, origin, req.get("retries", 0),
                                **retry)
     with _stage_span("stage.eval", timings):
-        value, output = _eval_stage(expr, req.get("backend", "interp"))
+        value, output = _eval_stage(entry, req.get("backend", "interp"))
     return to_write_string(value), output
 
 
-def _eval_stage(expr: "Expr", backend: str) -> tuple[object, str]:
+def _eval_stage(entry: _ucache.ParseEntry,
+                backend: str) -> tuple[object, str]:
     """Evaluate a checked program with the selected backend."""
+    expr = entry.expr
     if backend == "pycode":
         # Through the package attribute, resolved per call, so a
         # wrapped ``repro.backend.compile_program`` is the one used.
         from repro import backend as _backend
 
-        return _backend.compile_program(expr).run()
+        program = _backend.compile_program(expr, code=entry.code)
+        if entry.code is None:
+            _ucache.record_entry(entry._replace(code=program.code))
+        return program.run()
     if backend == "machine":
         from repro.lang.ast import Lit
         from repro.lang.machine import machine_eval

@@ -3,23 +3,22 @@
 Units are syntax, and structurally identical syntax flattens and
 compiles identically — so the Figure 11 linker, the pycode backend,
 and the dynamic-linking archive can reuse results keyed by stable
-digests.  Three stores live in a :class:`CacheStore`:
+digests.  Two stores live in a :class:`CacheStore`:
 
-* the **parse cache** (``dynlink``) — ``sha256(source) -> (unit
-  syntax, verdict)`` for archive retrievals and served programs, so
-  repeatedly loading the same text parses once.  The *verdict* is the
-  set of strictness modes in which :func:`repro.units.check
-  .check_program` has already passed on that syntax: Figure 10's
-  checks depend on nothing but the syntax, so a served program that
-  passed once skips re-checking (:func:`record_verdict`; failures
-  never record one, so their errors and trace events re-fire);
-* the **codegen (pycode) cache** and the **flatten memo** — see their
-  sections below.  The flatten memo is what makes a warm re-link
-  cheap: it stores whole flattened compound subtrees, so individual
-  Figure 11 merges are never cached on their own (a merge is cheaper
-  to redo than to key and store).  The Section 4.2.4 optimizer and
-  the per-unit Figure 10 checks are not cached: a memo in front of
-  either cost more than it saved (docs/PERFORMANCE.md).
+* the **parse store** (``dynlink``) — one :class:`ParseEntry` per
+  program text (archive retrievals and served programs), so the same
+  text parses once.  The entry also carries the *verdict*, the
+  strictness modes in which :func:`repro.units.check.check_program`
+  passed on that syntax (Figure 10 depends on nothing else), and the
+  compiled pycode code object (Figure 12 compiles a unit once and
+  reuses that body).  Failures never record either, so their errors
+  and trace events re-fire;
+* the **flatten memo** — see its section below.  It is what makes a
+  warm re-link cheap: it stores whole flattened compound subtrees, so
+  individual Figure 11 merges are never cached on their own (a merge
+  is cheaper to redo than to key and store).  The Section 4.2.4
+  optimizer and the per-unit Figure 10 checks are not cached: a memo
+  in front of either cost more than it saved (docs/PERFORMANCE.md).
 
 Scoping: the caches are **inactive by default** and enabled per scope.
 :func:`unit_cache_scope` creates a *fresh* :class:`CacheStore` for the
@@ -54,12 +53,13 @@ Every lookup emits exactly one ``cache.hit`` or ``cache.miss`` event
 cache's name; LRU evictions emit ``cache.evict``.  The on-disk tier
 (enabled by ``--cache-dir`` or the ``REPRO_CACHE_DIR`` environment
 variable) holds only generated pycode modules, under a directory
-versioned by the digest schema (``v1-tk2/pycode/``), so a schema change
-strands old entries instead of misreading them.
+named by :func:`pycode_fingerprint`, so a change to the digest schema
+or the generator strands old entries instead of misreading them.
 """
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import os
 import threading
@@ -68,7 +68,8 @@ from collections import OrderedDict
 from contextlib import contextmanager
 from contextvars import ContextVar
 from pathlib import Path
-from typing import Callable, Iterator
+from types import CodeType
+from typing import Callable, Iterator, NamedTuple, Sequence
 
 from repro.lang import terms as _terms
 from repro.lang.ast import Expr
@@ -78,7 +79,7 @@ from repro.serve import chaos as _chaos
 _MISS = object()
 
 #: LRU capacity per store.
-_SIZES = {"dynlink": 256, "pycode": 256, "flatten": 512}
+_SIZES = {"dynlink": 256, "flatten": 512}
 
 #: How many stripes the per-digest disk locks are spread over.
 _DIGEST_STRIPES = 64
@@ -128,6 +129,24 @@ class TermCache:
             self._table.clear()
 
 
+#: The sources that shape a generated module: the generator, the runtime
+#: it calls, the tables it bakes in, and the analysis it branches on.
+_PYCODE_SOURCES = ("backend/codegen.py", "backend/runtime.py",
+                   "lang/prelude.py", "lang/prims.py", "units/valuable.py")
+
+
+@functools.cache
+def pycode_fingerprint() -> str:
+    """The disk tier's directory: the digest schema plus a digest of
+    :data:`_PYCODE_SOURCES`, so a module written by other code is
+    never read."""
+    root = Path(__file__).resolve().parent.parent
+    digest = hashlib.sha256()
+    for name in _PYCODE_SOURCES:
+        digest.update((root / name).read_bytes())
+    return f"{_terms.SCHEMA}-{digest.hexdigest()[:16]}"
+
+
 class CacheStore:
     """One complete set of content-addressed stores plus the disk tier.
 
@@ -135,7 +154,7 @@ class CacheStore:
     private one per invocation; ``repro serve`` creates one at startup
     and shares it across every request via :func:`cache_store_scope`.
     In multi-process serve mode each worker process instead builds its
-    own, and sibling workers share warm state *only* through the
+    own, and sibling workers share compiled code *only* through the
     pycode disk tier: writes are atomic (per-process temp file +
     ``os.replace``) and keys are content-addressed ``tk2`` digests, so
     concurrent writers of the same key race to install identical
@@ -150,9 +169,8 @@ class CacheStore:
     def __init__(self, disk_dir: str | Path | None = None):
         self.disk_dir = Path(disk_dir) if disk_dir is not None else None
         self.parse = TermCache("dynlink", _SIZES["dynlink"])
-        self.pycode = TermCache("pycode", _SIZES["pycode"])
         self.flatten = TermCache("flatten", _SIZES["flatten"])
-        self.caches = (self.parse, self.pycode, self.flatten)
+        self.caches = (self.parse, self.flatten)
         self._stripes = tuple(threading.Lock()
                               for _ in range(_DIGEST_STRIPES))
 
@@ -167,15 +185,13 @@ class CacheStore:
         """Entries resident per store, for stats endpoints."""
         return {cache.name: len(cache) for cache in self.caches}
 
-    # -- the pycode disk tier -------------------------------------------
+    # -- the pycode disk tier (only when ``disk_dir`` is set) -----------
 
     def _digest_lock(self, key: str) -> threading.Lock:
         return self._stripes[hash(key) % _DIGEST_STRIPES]
 
-    def _disk_path(self, key: str) -> Path | None:
-        if self.disk_dir is None:
-            return None
-        return self.disk_dir / f"v1-{_terms.SCHEMA}" / "pycode" \
+    def _disk_path(self, key: str) -> Path:
+        return self.disk_dir / pycode_fingerprint() / "pycode" \
             / f"{key}.py"
 
     def disk_write_pycode(self, key: str, source: str) -> None:
@@ -187,8 +203,6 @@ class CacheStore:
         complete entry or the new complete entry, never a torn one.
         """
         path = self._disk_path(key)
-        if path is None:
-            return
         tmp: Path | None = None
         with self._digest_lock(key):
             try:
@@ -218,8 +232,6 @@ class CacheStore:
         report a miss.
         """
         path = self._disk_path(key)
-        if path is None:
-            return None
         with self._digest_lock(key):
             try:
                 if _chaos._armed:
@@ -228,7 +240,7 @@ class CacheStore:
             except OSError:
                 return None
             try:
-                code = _pycode_compile(source)
+                code = compile(source, "<pycode>", "exec")
                 if "_main" not in code.co_names:
                     raise ValueError("no _main in cached module")
                 return code
@@ -247,17 +259,10 @@ class CacheStore:
 _STORE: ContextVar[CacheStore | None] = ContextVar(
     "repro_unit_cache_store", default=None)
 
-#: Count of entered cache scopes process-wide; ``current_store()``
+#: Count of entered cache scopes process-wide; ``_active_store()``
 #: reads this plain global before touching the contextvar, so the
 #: common case — no scope anywhere — costs one integer test.
 _scopes_open = 0
-
-
-def current_store() -> CacheStore | None:
-    """The store in scope (whether or not the term layer is enabled)."""
-    if not _scopes_open:
-        return None
-    return _STORE.get()
 
 
 def _active_store() -> CacheStore | None:
@@ -306,119 +311,123 @@ def unit_cache_scope(disk_dir: str | Path | None = None
         yield store
 
 
-def _emit_hit(name: str, tier: str, t_start: float | None = None) -> None:
+def _emit_hit(name: str, tier: str, t_start: float) -> None:
     col = _obs_current()
     if col is not None:
         col.emit("cache.hit", {"cache": name, "tier": tier})
-        if t_start is not None:
-            # Hit service time: digesting the term plus the lookup
-            # (and, for a disk hit, reading and compiling the entry).
-            col.observe(f"cache.hit.{name}",
-                        time.perf_counter() - t_start)
+        # Hit service time: digesting the term plus the lookup (and,
+        # for a disk hit, reading and compiling the entry).
+        col.observe(f"cache.hit.{name}", time.perf_counter() - t_start)
 
 
-def _emit_miss(name: str, t_start: float | None = None) -> None:
+def _emit_miss(name: str, t_start: float) -> None:
     col = _obs_current()
     if col is not None:
         col.emit("cache.miss", {"cache": name})
-        if t_start is not None:
-            # Miss service time: the overhead of *concluding* the miss
-            # (key + lookup), not the recomputation that follows — the
-            # stage spans already own that.
-            col.observe(f"cache.miss.{name}",
-                        time.perf_counter() - t_start)
+        # Miss service time: the overhead of *concluding* the miss (key
+        # + lookup), not the recomputation the stage spans own.
+        col.observe(f"cache.miss.{name}", time.perf_counter() - t_start)
 
 
 # ---------------------------------------------------------------------------
-# The parse cache and the check verdict it carries
+# The parse store: one entry per program text, with the check verdict
+# and the compiled code
 # ---------------------------------------------------------------------------
 
 
-def _parse_key(source: str) -> str:
-    return hashlib.sha256(source.encode("utf-8")).hexdigest()
+class ParseEntry(NamedTuple):
+    """One program text: its syntax, the ``strict_valuable`` flags
+    ``check_program`` passed with, and its compiled pycode module.
+    ``key`` is ``None`` (never recorded) when caching is inactive."""
+
+    key: str | None
+    expr: Expr
+    verdict: frozenset[bool] = frozenset()
+    code: CodeType | None = None
 
 
-def cached_parse(source: str, compute: Callable[[], Expr]
-                 ) -> tuple[Expr, frozenset[bool]]:
-    """Parse source text through the cache; returns ``(syntax,
-    verdict)``.
+def parse_key(parser: str, origin: str, source: str,
+              libraries: Sequence[tuple[str, str]] = ()) -> str:
+    """The parse store's key, over ``(text, origin)`` ``libraries``
+    too.  Fields are length-prefixed: a separator is not injective,
+    since any field may contain it.  JSON text may hold lone
+    surrogates, which ``surrogatepass`` encodes injectively."""
+    digest = hashlib.sha256()
+    fields = [parser, origin, source]
+    for text, lib_origin in libraries:
+        fields += (lib_origin, text)
+    for field in fields:
+        data = field.encode("utf-8", "surrogatepass")
+        digest.update(b"%d:" % len(data))
+        digest.update(data)
+    return digest.hexdigest()
 
-    Keyed by the full text handed in — callers prepend any context
-    (like the parse origin) that the cached syntax must agree with.
-    The verdict holds the ``strict_valuable`` flags with which
-    ``check_program`` already passed on this syntax (empty on a miss,
-    and whenever the caches are inactive).
-    """
+
+def cached_parse(parser: str, origin: str, source: str,
+                 compute: Callable[[], Expr],
+                 libraries: Sequence[tuple[str, str]] = ()) -> ParseEntry:
+    """Parse through the store; ``compute`` must be ``parser`` on
+    ``source`` at ``origin`` with ``libraries``, as the key says."""
     store = _active_store()
     if store is None:
-        return compute(), frozenset()
+        return ParseEntry(None, compute())
     t_start = time.perf_counter()
-    key = _parse_key(source)
+    key = parse_key(parser, origin, source, libraries)
     found = store.parse.get(key)
     if found is not _MISS:
         _emit_hit("dynlink", "memory", t_start)
         return found  # type: ignore[return-value]
     _emit_miss("dynlink", t_start)
-    entry = (compute(), frozenset())
+    entry = ParseEntry(key, compute())
     store.parse.put(key, entry)
     return entry
 
 
-def record_verdict(source: str, expr: Expr,
-                   verdict: frozenset[bool]) -> None:
-    """Store ``verdict`` on the parse entry of ``source`` (no event:
-    not a lookup).
+def record_entry(entry: ParseEntry) -> ParseEntry:
+    """Replace the stored entry by ``entry`` (no event: not a lookup).
 
-    The entry is replaced, never mutated, so the store's lock covers
-    the update.  Only a check that completed may record:
-    failures must re-fire their errors every time.
-    """
+    Entries are never mutated, so the store's lock covers the update.
+    Only a completed check or compile may record one."""
     store = _active_store()
-    if store is not None:
-        store.parse.put(_parse_key(source), (expr, verdict))
+    if store is not None and entry.key is not None:
+        store.parse.put(entry.key, entry)
+    return entry
 
 
 # ---------------------------------------------------------------------------
-# The codegen (pycode) cache: memory holds code objects, disk holds
-# the generated Python source
+# Compiling pycode: reuse the parse entry's code, else the disk tier
 # ---------------------------------------------------------------------------
 
 
-def _pycode_compile(source: str):
-    return compile(source, "<pycode>", "exec")
+def cached_pycode(expr: Expr, generate: Callable[[], str],
+                  code: CodeType | None = None) -> CodeType:
+    """A program's compiled Python module: ``code`` (the parse
+    entry's; the memory tier) if given, else the disk tier's, else
+    generated.
 
-
-def cached_pycode(expr: Expr, generate: Callable[[], str]):
-    """Generate + compile a program's Python module through the cache.
-
-    The memory tier stores the ready code object; the disk tier stores
-    the generated source at ``v1-tk2/pycode/<digest>.py`` (codegen is
-    deterministic in the program's shape, so equal digests mean equal
-    source).  Exceptions from ``generate`` or ``compile`` — including
-    budget exhaustion surfacing mid-codegen — propagate before
-    anything is stored, so failed compilations are never cached.
+    Only the disk tier digests the program: codegen is deterministic
+    in its shape, so equal digests mean equal source.  Failures of
+    ``generate`` or ``compile`` propagate before anything is stored.
     """
+    t_start = time.perf_counter()
+    if code is not None:
+        _emit_hit("pycode", "memory", t_start)
+        return code
     store = _active_store()
     if store is None:
-        return _pycode_compile(generate())
-    t_start = time.perf_counter()
-    key = _terms.try_term_key(expr)
-    if key is None:
-        return _pycode_compile(generate())
-    found = store.pycode.get(key)
-    if found is not _MISS:
-        _emit_hit("pycode", "memory", t_start)
-        return found
-    loaded = store.disk_read_pycode(key)
-    if loaded is not None:
-        _emit_hit("pycode", "disk", t_start)
-        store.pycode.put(key, loaded)
-        return loaded
+        return compile(generate(), "<pycode>", "exec")
+    key = None
+    if store.disk_dir is not None:
+        key = _terms.try_term_key(expr)
+        loaded = store.disk_read_pycode(key) if key is not None else None
+        if loaded is not None:
+            _emit_hit("pycode", "disk", t_start)
+            return loaded
     _emit_miss("pycode", t_start)
     source = generate()
-    code = _pycode_compile(source)
-    store.pycode.put(key, code)
-    store.disk_write_pycode(key, source)
+    code = compile(source, "<pycode>", "exec")
+    if key is not None:
+        store.disk_write_pycode(key, source)
     return code
 
 

@@ -37,6 +37,7 @@ from repro.units import cache as _cache
 from repro.units.ast import CompoundExpr, InvokeExpr, LinkClause, UnitExpr
 from repro.units.optimize import optimize_expr, optimize_unit
 from repro.units.reduce import merge_compound
+from repro.units.valuable import program_bindings
 
 
 @dataclass
@@ -67,11 +68,9 @@ def flatten(expr: Expr, stats: LinkStats | None = None) -> Expr:
     encloses it).
     """
     stats = stats if stats is not None else LinkStats()
-    from repro.units.optimize import _assigned_names
-
     if stats.log is None and _cache.unit_caches_active():
         stats.log = []
-    assigned = _assigned_names(expr)
+    assigned, _units = program_bindings(expr)
     return _flatten(expr, stats, {}, assigned)
 
 

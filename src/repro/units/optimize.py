@@ -50,8 +50,8 @@ from repro.units.ast import (
     InvokeExpr,
     LinkClause,
     UnitExpr,
-    unit_children,
 )
+from repro.units.valuable import program_bindings
 
 #: Primitives safe to evaluate at compile time on literal arguments.
 FOLDABLE_PRIMS = frozenset({
@@ -149,26 +149,6 @@ def fold_constants(expr: Expr, bound: frozenset[str]) -> Expr:
     raise TypeError(f"fold_constants: unknown expression {expr!r}")
 
 
-def _assigned_names(expr: Expr) -> frozenset[str]:
-    """Names targeted by set! anywhere in an expression."""
-    out: set[str] = set()
-
-    def walk(e: Expr) -> None:
-        if isinstance(e, SetBang):
-            out.add(e.name)
-            walk(e.expr)
-            return
-        try:
-            kids = unit_children(e)
-        except TypeError:
-            return
-        for kid in kids:
-            walk(kid)
-
-    walk(expr)
-    return frozenset(out)
-
-
 def optimize_unit(unit: UnitExpr, rounds: int = 4) -> UnitExpr:
     """Optimize one unit: fold, inline literals, drop dead definitions.
 
@@ -187,8 +167,7 @@ def optimize_unit(unit: UnitExpr, rounds: int = 4) -> UnitExpr:
 
 
 def _optimize_unit_once(unit: UnitExpr) -> UnitExpr:
-    assigned = _assigned_names(
-        Seq(tuple(e for _, e in unit.defns) + (unit.init,)))
+    assigned, _units = program_bindings(unit)
 
     # 1. Constant-fold every right-hand side and the init.
     bound = frozenset(unit.imports) | frozenset(unit.defined)

@@ -31,6 +31,7 @@ import pytest
 
 from repro import backend
 from repro import limits as _limits
+from repro import obs
 from repro.lang import subst as lang_subst
 from repro.lang import terms
 from repro.lang.ast import Lit
@@ -39,6 +40,7 @@ from repro.lang.interp import Interpreter
 from repro.lang.machine import machine_eval
 from repro.lang.parser import parse_program
 from repro.lang.values import to_write_string
+from repro.serve import handlers
 from repro.units.cache import unit_cache_scope
 from repro.units.check import check_program
 from repro.units.linker import link_and_optimize
@@ -243,14 +245,19 @@ class TestErrorTaxonomyAgrees:
         assert to_write_string(value) == "(1 1 2)"
 
     def test_failed_codegen_is_never_cached(self):
-        """A program that dies at run time still caches (its codegen
-        succeeded); but a BudgetExceeded raised *during* codegen leaves
-        no entry behind (see tests/test_unit_cache.py for the disk
+        """A program that dies at run time still records its code (its
+        codegen succeeded); but a BudgetExceeded raised *during* codegen
+        leaves no code behind (see tests/test_unit_cache.py for the disk
         half)."""
-        expr = parse_program("(car 5)")
-        with unit_cache_scope() as store:
-            _pycode_failure(expr)
-            assert len(store.pycode) == 1  # run-time failure: cacheable
+        req = {"op": "run", "source": "(car 5)", "backend": "pycode"}
+        with unit_cache_scope(), obs.collecting() as col:
+            failures = [_failure(lambda _: handlers.run_pipeline(req, {}),
+                                 None) for _ in range(2)]
+        assert failures[0] == failures[1]
+        assert failures[0][0] is RunTimeError
+        tiers = [e.fields["tier"] for e in col.events
+                 if e.kind == "cache.hit" and e.fields["cache"] == "pycode"]
+        assert tiers == ["memory"]  # run-time failure: cacheable
 
 
 SPIN = "(invoke (unit (import) (export) (define spin (lambda () (spin))) (spin)))"
@@ -289,20 +296,22 @@ class TestBudgetExhaustionTaxonomy:
                 machine_eval(expr)
         assert err.value.resource == "machine_steps"
 
-    def test_exhausted_codegen_leaves_no_cache_entry(self):
+    def test_exhausted_codegen_leaves_no_cache_entry(self, tmp_path):
         """Deadline death inside ``compile_program`` must not populate
         the codegen cache — a rerun with a fresh budget gets a miss and
         a complete compilation, not a half-written entry."""
         expr = parse_program(SPIN)
         check_program(expr, strict_valuable=False)
-        with unit_cache_scope() as store:
+        with unit_cache_scope(tmp_path), obs.collecting() as col:
             with _limits.budget_scope(_limits.Budget(deadline_s=0.0)):
                 with pytest.raises(_limits.BudgetExceeded):
                     backend.compile_program(expr)
-            assert len(store.pycode) == 0
+            assert not list(tmp_path.rglob("*.py"))
             # A healthy budget afterwards compiles and runs fine.
             with _limits.budget_scope(_limits.Budget(eval_steps=10_000)):
                 with pytest.raises(_limits.BudgetExceeded) as err:
                     backend.compile_program(expr).run()
             assert err.value.resource == "eval_steps"
-            assert len(store.pycode) == 1
+            assert len(list(tmp_path.rglob("*.py"))) == 1
+        assert [e.fields["cache"] for e in col.events
+                if e.kind == "cache.miss"] == ["pycode"]

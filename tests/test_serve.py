@@ -171,6 +171,43 @@ class TestExecuteRequest:
         assert snap["dropped"] == 0
 
 
+class TestOneRecordPerText:
+    """A repeated pycode ``run`` on one thread-mode store reuses its
+    parse entry whole: the syntax, the check verdict and the code."""
+
+    LIBRARY = ("(define six (invoke (unit (import) (export) 6)))", "<lib>")
+
+    def _second_of_two(self, monkeypatch, **fields):
+        from repro import backend
+        from repro import obs
+
+        store = CacheStore()
+        req = {**_request("run"), **fields}
+        assert _execute(req, store=store)["value"] == "42"
+        generated = []
+        real = backend.generate_source
+        monkeypatch.setattr(backend, "generate_source",
+                            lambda expr: generated.append(expr) or real(expr))
+        with obs.collecting() as col:
+            response = _execute(req, store=store,
+                                registry=MetricsRegistry(parent=col))
+        assert response["value"] == "42"
+        assert generated == []
+        pycode = [(e.kind, e.fields.get("tier")) for e in col.events
+                  if e.kind.startswith("cache.")
+                  and e.fields.get("cache") == "pycode"]
+        assert pycode == [("cache.hit", "memory")]
+        assert col.counters["pycode.codegen"] == 1
+        assert not [e for e in col.events if e.kind.startswith("check.")]
+
+    def test_repeat_reuses_verdict_and_code(self, monkeypatch):
+        self._second_of_two(monkeypatch)
+
+    def test_repeat_with_libraries_reuses_verdict_and_code(self,
+                                                           monkeypatch):
+        self._second_of_two(monkeypatch, libraries=[self.LIBRARY])
+
+
 class TestServerEndToEnd:
     def test_pipeline_and_control_ops_over_a_socket(self, tmp_path):
         config = ServeConfig(workers=2, cache_dir=str(tmp_path))

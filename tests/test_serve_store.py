@@ -23,19 +23,22 @@ from concurrent.futures import ThreadPoolExecutor
 
 from repro import obs
 from repro.lang import terms
-from repro.lang.parser import parse_program
 from repro.units import cache as ucache
 from repro.units.cache import CacheStore, cache_store_scope
 from repro.serve.handlers import run_pipeline
 
 
-def _unit_source(i: int) -> str:
-    return (f"(unit (import) (export v{i}) "
-            f"(define v{i} (lambda (x) (+ x {i}))) v{i})")
+def _run_source(i: int) -> str:
+    """A served program whose value is ``i``."""
+    return (f"(invoke (unit (import) (export) "
+            f"(define v (lambda (x) (+ x {i}))) (v 0)))")
 
 
-def _programs(n: int):
-    return [parse_program(_unit_source(i)) for i in range(n)]
+def _serve(source: str) -> str:
+    """One pycode ``run`` through the pipeline; its value."""
+    value, _output = run_pipeline(
+        {"op": "run", "source": source, "backend": "pycode"}, {})
+    return value
 
 
 def _module(i: int) -> str:
@@ -51,21 +54,15 @@ def _store_of_maxsize(maxsize: int, disk_dir=None) -> CacheStore:
     return store
 
 
-def _main_of(code) -> object:
-    namespace: dict = {}
-    exec(code, namespace)
-    return namespace["_main"]()
-
-
 class TestConcurrentStore:
     def test_stress_no_torn_reads_and_invariant_events(self, tmp_path):
         """Hits, misses, and LRU evictions race across
         8 threads; every result is structurally correct and every
         lookup emits exactly one hit-or-miss event."""
-        programs = _programs(12)
-        keys = [terms.term_key(p) for p in programs]
-        # A pycode LRU of 4 entries: constant eviction, with disk
-        # hits and writes racing underneath.
+        sources = [_run_source(i) for i in range(12)]
+        # A parse LRU of 4 entries, so the code riding on them is
+        # constantly evicted, with disk hits and writes racing
+        # underneath.
         store = _store_of_maxsize(4, tmp_path)
         workers, iters = 8, 120
         errors: list[str] = []
@@ -73,11 +70,9 @@ class TestConcurrentStore:
         def work(worker: int) -> None:
             with cache_store_scope(store), obs.collecting() as col:
                 for step in range(iters):
-                    i = (worker + step) % len(programs)
-                    out = ucache.cached_pycode(programs[i],
-                                               lambda i=i: _module(i))
-                    if _main_of(out) != i:
-                        errors.append(f"torn read for key {keys[i]}")
+                    i = (worker + step) % len(sources)
+                    if _serve(sources[i]) != str(i):
+                        errors.append(f"torn read for program {i}")
                 looked_up = sum(
                     1 for e in col.events
                     if e.kind in ("cache.hit", "cache.miss")
@@ -92,7 +87,7 @@ class TestConcurrentStore:
                 pass
         assert not errors, errors[:5]
         # The LRU bound held under the race.
-        assert len(store.pycode) <= store.pycode.maxsize
+        assert len(store.parse) <= store.parse.maxsize
         # No temp-file residue from the atomic writes.
         assert not list(tmp_path.rglob("*.tmp"))
 
@@ -100,7 +95,7 @@ class TestConcurrentStore:
         """Two threads in different store scopes never see each
         other's entries (contextvar scoping, not globals)."""
         a, b = CacheStore(), CacheStore()
-        program = _programs(1)[0]
+        source = _run_source(0)
         barrier = threading.Barrier(2)
         lens = {}
 
@@ -108,9 +103,11 @@ class TestConcurrentStore:
             with cache_store_scope(store):
                 barrier.wait()
                 if populate:
-                    ucache.cached_pycode(program, lambda: _module(0))
+                    _serve(source)
                 barrier.wait()
-                lens[name] = len(ucache.current_store().pycode)
+                with obs.collecting() as col:
+                    _serve(source)
+                lens[name] = col.counters.get("cache.hit", 0)
 
         threads = [threading.Thread(target=use, args=("a", a, True)),
                    threading.Thread(target=use, args=("b", b, False))]
@@ -118,7 +115,8 @@ class TestConcurrentStore:
             t.start()
         for t in threads:
             t.join()
-        assert lens == {"a": 1, "b": 0}
+        # Only ``a`` hits: its parse entry, then the code riding on it.
+        assert lens == {"a": 2, "b": 0}
 
     def test_lru_bound_holds_under_concurrent_puts(self):
         # Every TermCache locks: racing puts never overrun maxsize and
@@ -172,11 +170,12 @@ class TestDiskTierHardening:
         monkeypatch.setattr(
             ucache.os, "replace",
             lambda *a, **k: (_ for _ in ()).throw(OSError("full")))
-        program = _programs(1)[0]
-        with cache_store_scope(store):
-            out = ucache.cached_pycode(program, lambda: _module(7))
-        assert _main_of(out) == 7
-        assert len(store.pycode) == 1
+        with cache_store_scope(store), obs.collecting() as col:
+            assert _serve(_run_source(7)) == "7"
+            assert _serve(_run_source(7)) == "7"
+        hits = [e.fields["tier"] for e in col.events
+                if e.kind == "cache.hit" and e.fields["cache"] == "pycode"]
+        assert hits == ["memory"]
         assert not list(tmp_path.rglob("*.tmp"))
 
 

@@ -7,14 +7,18 @@ The invariants under test:
 * every lookup emits exactly one ``cache.hit``/``cache.miss`` event
   naming its cache, and evictions emit ``cache.evict``;
 * the parse entry's check verdict skips re-checking a served program
-  only in the strictness mode it passed, never for a failure, an
-  exhausted check, or a request with libraries;
+  only in the strictness mode it passed, never for a failure or an
+  exhausted check; libraries are part of the text it was given for;
+* the parse key is injective over its fields (parser, origin, source,
+  libraries);
 * a cold cached link does no pretty-printing (merges are not stored);
 * the flatten memo shares one merge among structural copies, keyed
   on a digest that ignores source locations but not link shape;
-* a store has three tiers, and only pycode modules reach the disk;
-* the pycode disk tier round-trips generated modules across scopes and
-  treats corrupt entries as misses;
+* a store has two tiers, and only pycode modules reach the disk;
+* a served repeat reuses the code object on its parse entry; the
+  pycode disk tier round-trips generated modules across scopes, treats
+  corrupt entries as misses, and never reads an entry written under
+  another generator fingerprint;
 * ``repro trace report`` renders a cache-efficiency section, and the
   CLI flags (``--no-term-cache``, ``--cache-dir``, ``bench``) work.
 """
@@ -26,7 +30,7 @@ import pytest
 
 from repro import obs
 from repro.lang import terms
-from repro.lang.errors import CheckError
+from repro.lang.errors import CheckError, LangError
 from repro.limits import Budget, BudgetExceeded, budget_scope
 from repro.lang.parser import parse_program
 from repro.lang.pretty import show
@@ -177,7 +181,7 @@ class TestCheckVerdict:
                 _request(self.LENIENT_ONLY, lenient=True)
         assert not self._check_spans(col)
 
-    def test_libraries_bypass_the_verdict(self):
+    def test_libraries_get_a_verdict_of_their_own(self):
         library = ("(define five (invoke (unit (import) (export) 5)))",
                    "<lib>")
         with unit_cache_scope():
@@ -185,9 +189,10 @@ class TestCheckVerdict:
             with obs.collecting() as col:
                 for _ in range(2):
                     _request(libraries=[library])
-            # Each request checked both units; neither wrote a verdict
-            # the bare text could mistake for its own.
-            assert col.counters["check.unit"] == 4
+            # The first request checked both units and recorded a
+            # verdict for the program with its library; the bare
+            # text's verdict was never mistaken for it.
+            assert col.counters["check.unit"] == 2
             with obs.collecting() as col:
                 _request(UNIT_SRC + " ", libraries=[library])
                 _request(UNIT_SRC + " ")
@@ -222,12 +227,57 @@ class TestCheckVerdict:
             assert not self._check_spans(col)
 
 
+class TestParseKey:
+    def test_fields_never_run_together(self):
+        """Moving text between the origin and the source, or between a
+        library's origin and text, changes the key."""
+        key = cache.parse_key
+        assert key("p", "a\x00(+ 1 2)", "42") != key("p", "a",
+                                                      "(+ 1 2)\x0042")
+        assert key("p", "o", "s", [("t", "lo")]) != key(
+            "p", "o", "s", [("", "lot")])
+        assert key("p", "o", "s", [("t", "o")]) != key("p", "o", "s")
+        assert key("parse_script", "o", "s") != key("parse_program",
+                                                    "o", "s")
+
+    def test_origin_and_source_do_not_collide(self):
+        """Two requests whose origin + NUL + source strings are equal
+        are still two texts: the second is parsed on its own, and fails
+        as it does uncached."""
+        with unit_cache_scope():
+            assert _request("42", op="run",
+                            origin="a\x00(+ 1 2)") == ("42", "")
+            with pytest.raises(LangError, match="unbound variable"):
+                _request("(+ 1 2)\x0042", op="run", origin="a")
+
+    def test_lone_surrogates_are_keyed(self):
+        """JSON text may carry a lone surrogate: keying it must not
+        fail the request, nor make it collide with a real pair."""
+        key = cache.parse_key
+        assert key("p", "o", "\ud83d\ude00") != key("p", "o", "\U0001f600")
+        with unit_cache_scope():
+            assert _request('(string-length "\ud800")',
+                            op="run") == ("1", "")
+
+    def test_archive_and_served_parses_do_not_share_entries(self):
+        """An archive retrieval (``parse_program``) and a served request
+        (``parse_script``) of one text under one origin are two
+        entries."""
+        archive = UnitArchive()
+        archive.put_unit("lib", _unit())
+        with unit_cache_scope(), obs.collecting() as col:
+            archive.retrieve_untyped("lib", ("a",), ("f",))
+            _request(UNIT_SRC, origin="<archive:lib>")
+        assert [e.fields["cache"] for e in
+                _cache_events(col, "cache.miss")] == ["dynlink", "dynlink"]
+
+
 class TestStoreShape:
-    def test_store_has_three_tiers(self):
+    def test_store_has_two_tiers(self):
         with unit_cache_scope() as store:
-            assert sorted(store.occupancy()) == [
-                "dynlink", "flatten", "pycode"]
-            assert len(store.caches) == 3
+            assert sorted(store.occupancy()) == ["dynlink", "flatten"]
+            assert len(store.caches) == 2
+        assert sorted(cache._SIZES) == ["dynlink", "flatten"]
 
     def test_store_and_lru_take_only_their_sizes(self):
         assert list(inspect.signature(cache.CacheStore).parameters) == [
@@ -337,18 +387,23 @@ PROGRAM_SRC = ("(invoke (unit (import) (export)"
 
 
 class TestPycodeCache:
-    """The codegen cache: generated Python under ``v1-tk2/pycode/``.
+    """Code reuse: the parse entry's code object in memory, generated
+    Python on disk under ``<fingerprint>/pycode/``.
 
     Same contract as every other store — strictly scoped, corrupt
-    entries are misses that get unlinked, the layout is schema
-    versioned — plus one of its own: an entry must hold a compilable
-    module that defines ``_main``, or it is treated as corrupt."""
+    entries are misses that get unlinked, the layout is versioned by
+    the digest schema and the generator's sources — plus one of its
+    own: an entry must hold a compilable module that defines
+    ``_main``, or it is treated as corrupt."""
 
     def _run(self):
         from repro import backend
 
         expr = parse_program(PROGRAM_SRC)
         return backend.compile_program(expr).run()
+
+    def _serve(self):
+        return _request(PROGRAM_SRC, op="run", backend="pycode")
 
     def _pycode_events(self, col, kind):
         return [e for e in _cache_events(col, kind)
@@ -368,12 +423,60 @@ class TestPycodeCache:
 
     def test_memory_tier_hits_within_scope(self):
         with unit_cache_scope(), obs.collecting() as col:
-            first = self._run()
-            second = self._run()
-        assert second == first
+            first = self._serve()
+            second = self._serve()
+        assert second == first == ("49", "")
         hits = self._pycode_events(col, "cache.hit")
         assert [e.fields["tier"] for e in hits] == ["memory"]
         assert len(self._pycode_events(col, "cache.miss")) == 1
+        assert col.counters["pycode.codegen"] == 2
+
+    def test_code_rides_on_the_parse_entry(self):
+        """The entry of a served text holds its code; a different
+        text, or a direct compile of an equal tree, generates anew."""
+        with unit_cache_scope() as store, obs.collecting() as col:
+            self._serve()
+            self._run()
+            _request(PROGRAM_SRC + " ", op="run", backend="pycode")
+        entries = list(store.parse._table.values())
+        assert len(entries) == 2
+        assert all(e.code is not None and e.verdict == {True}
+                   for e in entries)
+        assert len(self._pycode_events(col, "cache.miss")) == 3
+        assert not self._pycode_events(col, "cache.hit")
+
+    def test_failed_compile_records_no_code(self, monkeypatch):
+        from repro import backend
+
+        def exhausted(expr):
+            raise BudgetExceeded("deadline", 0.1, 0.2)
+
+        with unit_cache_scope(), obs.collecting() as col:
+            monkeypatch.setattr(backend, "generate_source", exhausted)
+            with pytest.raises(BudgetExceeded):
+                self._serve()
+            monkeypatch.undo()
+            assert self._serve() == ("49", "")
+        assert len(self._pycode_events(col, "cache.miss")) == 2
+        assert not self._pycode_events(col, "cache.hit")
+
+    def test_only_the_disk_tier_takes_a_digest(self, tmp_path,
+                                               monkeypatch):
+        from repro.backend import generate_source
+
+        expr = parse_program(PROGRAM_SRC)
+        source = generate_source(expr)
+        calls = []
+        for name in ("term_key", "try_term_key"):
+            real = getattr(terms, name)
+            monkeypatch.setattr(
+                terms, name, lambda e, real=real: calls.append(e) or real(e))
+        with unit_cache_scope():
+            cache.cached_pycode(expr, lambda: source)
+        assert not calls
+        with unit_cache_scope(disk_dir=tmp_path):
+            cache.cached_pycode(expr, lambda: source)
+        assert calls
 
     def test_corrupt_entry_is_a_miss_and_unlinked(self, tmp_path):
         with unit_cache_scope(disk_dir=tmp_path):
@@ -410,15 +513,15 @@ class TestPycodeCache:
         an inner scope pointed at the same directory starts with a cold
         table but still reads the outer scope's entry from disk."""
         with unit_cache_scope(disk_dir=tmp_path):
-            value = self._run()
+            value = self._serve()
             with unit_cache_scope(disk_dir=tmp_path), \
                     obs.collecting() as col:
-                assert self._run() == value
+                assert self._serve() == value
             inner_hits = self._pycode_events(col, "cache.hit")
             assert [e.fields["tier"] for e in inner_hits] == ["disk"]
-            # Back in the outer scope: its memory table kept the entry.
+            # Back in the outer scope: its parse entry kept the code.
             with obs.collecting() as col:
-                assert self._run() == value
+                assert self._serve() == value
             outer_hits = self._pycode_events(col, "cache.hit")
             assert [e.fields["tier"] for e in outer_hits] == ["memory"]
 
@@ -427,7 +530,34 @@ class TestPycodeCache:
             self._run()
         entry = next(tmp_path.rglob("*.py"))
         assert entry.parent.name == "pycode"
-        assert entry.parent.parent.name == f"v1-{terms.SCHEMA}"
+        assert entry.parent.parent.name == cache.pycode_fingerprint()
+        assert cache.pycode_fingerprint().startswith(f"{terms.SCHEMA}-")
+
+    def test_fingerprint_covers_the_generator_sources(self):
+        from pathlib import Path
+
+        from repro.backend import codegen, runtime
+        from repro.lang import prelude
+
+        root = Path(inspect.getfile(cache)).parent.parent
+        covered = {root / name for name in cache._PYCODE_SOURCES}
+        for module in (codegen, runtime, prelude):
+            assert Path(inspect.getfile(module)) in covered
+
+    def test_other_fingerprints_are_never_read(self, tmp_path):
+        """A module written by other code (an older generator, or a
+        runtime with another ABI) sits under another directory and is
+        never served, however well formed."""
+        key = terms.term_key(parse_program(PROGRAM_SRC))
+        stale = tmp_path / f"v1-{terms.SCHEMA}" / "pycode" / f"{key}.py"
+        stale.parent.mkdir(parents=True)
+        stale.write_text("def _main(rt):\n    return rt.removed_helper()\n",
+                         encoding="utf-8")
+        with unit_cache_scope(disk_dir=tmp_path), obs.collecting() as col:
+            assert self._run() == (49, "")
+        assert len(self._pycode_events(col, "cache.miss")) == 1
+        assert not self._pycode_events(col, "cache.hit")
+        assert "removed_helper" in stale.read_text(encoding="utf-8")
 
 
 class TestParseCache:
