@@ -21,7 +21,10 @@
 # (docs/PERFORMANCE.md, "Link caching"), if the reader's time grows
 # faster than its input (log-log slope above 1.25 from the 86 KB
 # deep-128 to the 1.3 MB deep-512 program; docs/PERFORMANCE.md,
-# "Reader"), if a parsed and digested deep-128 AST holds more than 1.5
+# "Reader"), if printing the 0.8 MB chain-4096 program takes more than
+# a quarter of the time reading its text does (best of 5 each;
+# docs/PERFORMANCE.md, "Printer"), if a parsed and digested deep-128
+# AST holds more than 1.5
 # GC-tracked objects per node (docs/PERFORMANCE.md, "Garbage
 # collection"), if a second pycode
 # demo run against the same cache dir misses the codegen store, if
@@ -225,6 +228,42 @@ slope = math.log(t_large / t_small) / math.log(len(large) / len(small))
 print(f"reader scaling ok: {len(small)} chars {t_small * 1e3:.1f} ms, "
       f"{len(large)} chars {t_large * 1e3:.1f} ms, slope {slope:.2f}")
 assert slope <= 1.25, f"reader time superlinear: slope {slope:.2f} > 1.25"
+EOF
+
+echo "==> gate: printer speed (show vs read of the chain-4096 text)"
+python - <<'EOF'
+import math
+import time
+
+from repro import bench
+from repro.lang.parser import parse_script
+from repro.lang.pretty import show
+from repro.lang.sexpr import read_all_sexprs
+from repro.limits import Budget, budget_scope
+from repro.serve.handlers import MAX_DEPTH
+
+# Printing and reading are single passes over the same bytes, so their
+# ratio holds on a noisy host where a slope over sizes does not.
+with budget_scope(Budget(max_depth=MAX_DEPTH)):
+    text = show(bench.chain_program(4096))
+    expr = parse_script(text)
+
+
+def best(fn):
+    out = math.inf
+    for _ in range(5):
+        with budget_scope(Budget(max_depth=MAX_DEPTH)):
+            t0 = time.perf_counter()
+            fn()
+            out = min(out, time.perf_counter() - t0)
+    return out
+
+
+t_show, t_read = best(lambda: show(expr)), best(lambda: read_all_sexprs(text))
+ratio = t_show / t_read
+print(f"printer ok: chain-4096 ({len(text)} chars) show {t_show * 1e3:.1f} ms, "
+      f"read {t_read * 1e3:.1f} ms, ratio {ratio:.2f}")
+assert ratio <= 0.25, f"show takes {ratio:.2f}x the read of its text (> 0.25)"
 EOF
 
 echo "==> gate: AST heap shape (GC-tracked objects per node)"

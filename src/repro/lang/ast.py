@@ -146,26 +146,3 @@ def seq_of(*exprs: Expr) -> Expr:
         return exprs[0]
     return Seq(tuple(exprs))
 
-
-def children(expr: Expr) -> tuple[Expr, ...]:
-    """Return the direct subexpressions of a core expression.
-
-    Unit forms override this through :func:`repro.units.ast.unit_children`;
-    this function handles only the core forms and raises ``TypeError``
-    on anything else so that callers cannot silently skip node kinds.
-    """
-    if isinstance(expr, (Lit, Var)):
-        return ()
-    if isinstance(expr, Lambda):
-        return (expr.body,)
-    if isinstance(expr, App):
-        return (expr.fn, *expr.args)
-    if isinstance(expr, If):
-        return (expr.test, expr.then, expr.orelse)
-    if isinstance(expr, (Let, Letrec)):
-        return tuple(e for _, e in expr.bindings) + (expr.body,)
-    if isinstance(expr, SetBang):
-        return (expr.expr,)
-    if isinstance(expr, Seq):
-        return expr.exprs
-    raise TypeError(f"not a core expression: {expr!r}")

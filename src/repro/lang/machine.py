@@ -53,7 +53,13 @@ from repro.lang.errors import RunTimeError
 from repro.lang.prims import OutputPort, make_global_env
 from repro import limits as _limits
 from repro.obs import current as _obs_current
-from repro.lang.subst import fresh_like, free_vars, substitute
+from repro.lang.subst import (
+    binder_names,
+    fresh_like,
+    free_vars,
+    scoped_children,
+    substitute,
+)
 from repro.lang.values import Primitive, is_true, to_write_string
 from repro.units.ast import CompoundExpr, InvokeExpr, LinkClause, UnitExpr
 from repro.units.reduce import merge_compound, reduce_invoke
@@ -425,41 +431,16 @@ def _assigned_params(body: Expr, params: set[str]) -> set[str]:
     Shadowing binders cut the search; unit forms bind their imports and
     definitions, so assignments inside them target their own scope.
     """
-    from repro.lang.ast import children as core_children
-    from repro.units.ast import unit_children
-
     out: set[str] = set()
 
     def walk(expr: Expr, live: set[str]) -> None:
         if not live:
             return
-        if isinstance(expr, SetBang):
-            if expr.name in live:
-                out.add(expr.name)
-            walk(expr.expr, live)
-            return
-        if isinstance(expr, Lambda):
-            walk(expr.body, live - set(expr.params))
-            return
-        if isinstance(expr, (Let, Letrec)):
-            bound = {name for name, _ in expr.bindings}
-            inner = live - bound if isinstance(expr, Letrec) else live
-            for _, rhs in expr.bindings:
-                walk(rhs, inner if isinstance(expr, Letrec) else live)
-            walk(expr.body, live - bound)
-            return
-        if isinstance(expr, UnitExpr):
-            bound = set(expr.imports) | set(expr.defined)
-            for _, rhs in expr.defns:
-                walk(rhs, live - bound)
-            walk(expr.init, live - bound)
-            return
-        try:
-            kids = unit_children(expr)
-        except TypeError:
-            return
-        for kid in kids:
-            walk(kid, live)
+        if isinstance(expr, SetBang) and expr.name in live:
+            out.add(expr.name)
+        inner = live.difference(binder_names(expr))
+        for kid, scoped in scoped_children(expr):
+            walk(kid, inner if scoped else live)
 
     walk(body, set(params))
     return out

@@ -1,10 +1,17 @@
 """Pretty-printer: AST back to s-expression syntax.
 
-``expr_to_datum`` is a right inverse of the parser on kernel forms:
-``parse_expr(expr_to_datum(e)) == e`` for every expression the parser
-can produce (modulo sugar, which the parser eliminates).  The printer
-is used by the archive (units are shipped as source text), by the
-compilation demo of Figure 12, and by error messages.
+One explicit-stack walk lays every node out as a flat stream of
+tokens — ``(``, ``)`` and atoms, with the separating spaces — written
+straight from the AST, so printing never recurses and allocates no
+intermediate datum tree.  :func:`show` joins the stream; :func:`pretty`
+rebuilds a datum from it with a stack and breaks the lines.  Reading
+:func:`show`'s text back with the parser gives an equal expression
+(the printer is a right inverse of the parser on kernel forms, modulo
+sugar, which the parser eliminates), except for machine terms that
+carry run-time constants, which print but do not read back.  The
+printer is used by the archive (units are shipped as source text), by
+the link stage's reply, by the compilation demo of Figure 12, and by
+error messages.
 """
 
 from __future__ import annotations
@@ -21,98 +28,132 @@ from repro.lang.ast import (
     SetBang,
     Var,
 )
-from repro.lang.sexpr import Datum, SList, Symbol, format_sexpr, write_sexpr
+from repro.lang.sexpr import SList, Symbol, format_sexpr, write_atom
 from repro.units.ast import CompoundExpr, InvokeExpr, LinkClause, UnitExpr
 
-
-def _s(*items: Datum) -> SList:
-    return SList(tuple(items))
+_OPEN, _CLOSE, _SPACE = "(", ")", " "
 
 
-def _y(name: str) -> Symbol:
-    return Symbol(name)
+def _lit(expr: Lit) -> list:
+    value = expr.value
+    if value is None:
+        return [_OPEN, "void", _CLOSE]
+    if isinstance(value, (bool, int, float, str)):
+        return [write_atom(value)]
+    # Runtime data carried as constants by the machine (pairs,
+    # primitives, hash tables): printable but not re-readable.
+    return [repr(value)]
 
 
-def expr_to_datum(expr: Expr) -> Datum:
-    """Convert an expression to an s-expression datum."""
-    if isinstance(expr, Lit):
-        if expr.value is None:
-            return _s(_y("void"))
-        if isinstance(expr.value, (bool, int, float, str)):
-            return expr.value
-        # Runtime data carried as constants by the machine (pairs,
-        # primitives, hash tables): printable but not re-readable.
-        return _y(repr(expr.value))
-    if isinstance(expr, Var):
-        return _y(expr.name)
-    if isinstance(expr, Lambda):
-        return _s(_y("lambda"), _s(*(_y(p) for p in expr.params)),
-                  expr_to_datum(expr.body))
-    if isinstance(expr, App):
-        return _s(expr_to_datum(expr.fn),
-                  *(expr_to_datum(a) for a in expr.args))
-    if isinstance(expr, If):
-        return _s(_y("if"), expr_to_datum(expr.test),
-                  expr_to_datum(expr.then), expr_to_datum(expr.orelse))
-    if isinstance(expr, (Let, Letrec)):
-        keyword = "let" if isinstance(expr, Let) else "letrec"
-        bindings = _s(*(_s(_y(name), expr_to_datum(rhs))
-                        for name, rhs in expr.bindings))
-        return _s(_y(keyword), bindings, expr_to_datum(expr.body))
-    if isinstance(expr, SetBang):
-        return _s(_y("set!"), _y(expr.name), expr_to_datum(expr.expr))
-    if isinstance(expr, Seq):
-        return _s(_y("begin"), *(expr_to_datum(e) for e in expr.exprs))
-    if isinstance(expr, UnitExpr):
-        return unit_to_datum(expr)
-    if isinstance(expr, CompoundExpr):
-        return compound_to_datum(expr)
-    if isinstance(expr, InvokeExpr):
-        return invoke_to_datum(expr)
-    raise TypeError(f"expr_to_datum: unknown expression {expr!r}")
+def _names(keyword: str, names) -> list:
+    return [_OPEN, keyword, *names, _CLOSE]
 
 
-def unit_to_datum(expr: UnitExpr) -> SList:
-    """Convert a ``unit`` expression to its surface syntax."""
-    items: list[Datum] = [
-        _y("unit"),
-        _s(_y("import"), *(_y(n) for n in expr.imports)),
-        _s(_y("export"), *(_y(n) for n in expr.exports)),
-    ]
+def _binding_block(expr: Let | Letrec) -> list:
+    items = [_OPEN, "let" if type(expr) is Let else "letrec", _OPEN]
+    for name, rhs in expr.bindings:
+        items += (_OPEN, name, rhs, _CLOSE)
+    items += (_CLOSE, expr.body, _CLOSE)
+    return items
+
+
+def _unit(expr: UnitExpr) -> list:
+    items = [_OPEN, "unit", *_names("import", expr.imports),
+             *_names("export", expr.exports)]
     for name, rhs in expr.defns:
-        items.append(_s(_y("define"), _y(name), expr_to_datum(rhs)))
-    items.append(expr_to_datum(expr.init))
-    return SList(tuple(items))
+        items += (_OPEN, "define", name, rhs, _CLOSE)
+    items += (expr.init, _CLOSE)
+    return items
 
 
-def _clause_to_datum(clause: LinkClause) -> SList:
-    return _s(expr_to_datum(clause.expr),
-              _s(_y("with"), *(_y(n) for n in clause.withs)),
-              _s(_y("provides"), *(_y(n) for n in clause.provides)))
+def _clause(clause: LinkClause) -> list:
+    return [_OPEN, clause.expr, *_names("with", clause.withs),
+            *_names("provides", clause.provides), _CLOSE]
 
 
-def compound_to_datum(expr: CompoundExpr) -> SList:
-    """Convert a ``compound`` expression to its surface syntax."""
-    return _s(_y("compound"),
-              _s(_y("import"), *(_y(n) for n in expr.imports)),
-              _s(_y("export"), *(_y(n) for n in expr.exports)),
-              _s(_y("link"),
-                 _clause_to_datum(expr.first),
-                 _clause_to_datum(expr.second)))
+def _compound(expr: CompoundExpr) -> list:
+    return [_OPEN, "compound", *_names("import", expr.imports),
+            *_names("export", expr.exports),
+            _OPEN, "link", *_clause(expr.first), *_clause(expr.second),
+            _CLOSE, _CLOSE]
 
 
-def invoke_to_datum(expr: InvokeExpr) -> SList:
-    """Convert an ``invoke`` expression to its surface syntax."""
-    return _s(_y("invoke"), expr_to_datum(expr.expr),
-              *(_s(_y(name), expr_to_datum(rhs))
-                for name, rhs in expr.links))
+def _invoke(expr: InvokeExpr) -> list:
+    items = [_OPEN, "invoke", expr.expr]
+    for name, rhs in expr.links:
+        items += (_OPEN, name, rhs, _CLOSE)
+    items.append(_CLOSE)
+    return items
 
 
-def pretty(expr: Expr, width: int = 78) -> str:
-    """Pretty-print an expression as multi-line source text."""
-    return format_sexpr(expr_to_datum(expr), width)
+#: Each node class's layout: its tokens and child nodes, in order.
+_LAYOUT = {
+    Lit: _lit,
+    Lambda: lambda e: [_OPEN, "lambda", _OPEN, *e.params, _CLOSE, e.body,
+                       _CLOSE],
+    App: lambda e: [_OPEN, e.fn, *e.args, _CLOSE],
+    If: lambda e: [_OPEN, "if", e.test, e.then, e.orelse, _CLOSE],
+    Let: _binding_block,
+    Letrec: _binding_block,
+    SetBang: lambda e: [_OPEN, "set!", e.name, e.expr, _CLOSE],
+    Seq: lambda e: [_OPEN, "begin", *e.exprs, _CLOSE],
+    UnitExpr: _unit,
+    CompoundExpr: _compound,
+    InvokeExpr: _invoke,
+}
+
+
+def tokens(expr: Expr) -> list[str]:
+    """``expr``'s printed text as pieces: ``(``, ``)``, atoms, and the
+    single spaces between them.
+
+    The stack holds one iterator per node being laid out; a child node
+    suspends its parent's iterator until its own layout is done.
+    """
+    out: list[str] = []
+    append = out.append
+    stack = [iter((expr,))]
+    space = False
+    while stack:
+        for item in stack[-1]:
+            if type(item) is not str:
+                if type(item) is not Var:
+                    layout = _LAYOUT.get(type(item))
+                    if layout is None:
+                        raise TypeError(f"show: unknown expression {item!r}")
+                    stack.append(iter(layout(item)))
+                    break
+                item = item.name
+            if item is _CLOSE:
+                append(_CLOSE)
+                space = True
+            else:
+                if space:
+                    append(_SPACE)
+                append(item)
+                space = item is not _OPEN
+        else:
+            stack.pop()
+    return out
 
 
 def show(expr: Expr) -> str:
     """Print an expression on a single line."""
-    return write_sexpr(expr_to_datum(expr))
+    return "".join(tokens(expr))
+
+
+def pretty(expr: Expr, width: int = 78) -> str:
+    """Pretty-print an expression as multi-line source text."""
+    items: list = []
+    stack: list[list] = []
+    for piece in tokens(expr):
+        if piece is _OPEN:
+            stack.append(items)
+            items = []
+        elif piece is _CLOSE:
+            done = SList(tuple(items))
+            items = stack.pop()
+            items.append(done)
+        elif piece is not _SPACE:
+            items.append(Symbol(piece))
+    return format_sexpr(items[0], width)

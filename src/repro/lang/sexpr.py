@@ -319,23 +319,28 @@ def _escape_string(value: str) -> str:
     return "".join(out)
 
 
+def write_atom(value: bool | int | float | str) -> str:
+    """Print a boolean, number or string in reader syntax."""
+    if isinstance(value, bool):
+        return "#t" if value else "#f"
+    if isinstance(value, float) and not math.isfinite(value):
+        if math.isnan(value):
+            return "+nan.0"
+        return "+inf.0" if value > 0 else "-inf.0"
+    if isinstance(value, (int, float)):
+        return repr(value)
+    if isinstance(value, str):
+        return _escape_string(value)
+    raise TypeError(f"not a datum: {value!r}")
+
+
 def write_sexpr(datum: Datum) -> str:
     """Print a datum in reader syntax (single line)."""
-    if isinstance(datum, bool):
-        return "#t" if datum else "#f"
-    if isinstance(datum, float) and not math.isfinite(datum):
-        if math.isnan(datum):
-            return "+nan.0"
-        return "+inf.0" if datum > 0 else "-inf.0"
-    if isinstance(datum, (int, float)):
-        return repr(datum)
-    if isinstance(datum, str):
-        return _escape_string(datum)
     if isinstance(datum, Symbol):
         return datum.name
     if isinstance(datum, SList):
         return "(" + " ".join(write_sexpr(item) for item in datum.items) + ")"
-    raise TypeError(f"not a datum: {datum!r}")
+    return write_atom(datum)
 
 
 def format_sexpr(datum: Datum, width: int = 78, indent: int = 0) -> str:

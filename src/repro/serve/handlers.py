@@ -177,9 +177,10 @@ def run_pipeline(req: Mapping[str, object], timings: dict[str, float],
         with _stage_span("stage.link", timings):
             linked, _stats = linker.link_and_optimize(
                 expr, timings=link_timings)
+            text = show(linked)
         for sub, seconds in link_timings.items():
             timings["link." + sub] = seconds
-        return show(linked), ""
+        return text, ""
     if req.get("archive", False):
         with _stage_span("stage.archive", timings):
             _archive_roundtrip(expr, origin, req.get("retries", 0),

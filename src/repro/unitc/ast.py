@@ -26,8 +26,9 @@ from repro.types.types import Type
 class TExpr:
     """Base class of typed expressions."""
 
-    #: The free value variables (:mod:`repro.unitc.subst`).
-    _memos = ("_fvv",)
+    #: The free value variables (:mod:`repro.lang.subst`), under the
+    #: same memo name as :class:`repro.lang.ast.Expr`'s.
+    _memos = ("_fv",)
 
     def __init_subclass__(cls, **kwargs):
         super().__init_subclass__(**kwargs)

@@ -22,8 +22,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.lang.ast import Expr, Letrec
-from repro.lang.subst import free_vars
-from repro.units.ast import CompoundExpr, InvokeExpr, UnitExpr, unit_children
+from repro.lang.subst import children, free_vars
+from repro.units.ast import CompoundExpr, InvokeExpr, UnitExpr
 
 
 @dataclass(frozen=True)
@@ -127,10 +127,10 @@ def lint(expr: Expr, where: str = "program") -> list[Diagnostic]:
             out.extend(lint(rhs, f"{where}/link[{name}]"))
         return out
     try:
-        children = unit_children(expr)
+        kids = children(expr)
     except TypeError:
         return out
-    for index, child in enumerate(children):
+    for index, child in enumerate(kids):
         out.extend(lint(child, f"{where}/{index}"))
     return out
 

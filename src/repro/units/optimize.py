@@ -28,30 +28,19 @@ optimization (see the tests and the ablation bench).
 
 from __future__ import annotations
 
-from repro.lang.ast import (
-    App,
-    Expr,
-    If,
-    Lambda,
-    Let,
-    Letrec,
-    Lit,
-    Seq,
-    SetBang,
-    Var,
-    seq_of,
-)
+from repro.lang import terms as _terms
+from repro.lang.ast import App, Expr, If, Lit, SetBang, Var
 from repro.lang.errors import LangError
 from repro.lang.prims import OutputPort, make_global_env
-from repro.lang.subst import free_vars
-from repro.lang.values import Primitive
-from repro.units.ast import (
-    CompoundExpr,
-    InvokeExpr,
-    LinkClause,
-    UnitExpr,
+from repro.lang.subst import (
+    binder_names,
+    children,
+    free_vars,
+    map_children,
+    substitute,
 )
-from repro.units.valuable import program_bindings
+from repro.lang.values import Primitive
+from repro.units.ast import UnitExpr
 
 #: Primitives safe to evaluate at compile time on literal arguments.
 FOLDABLE_PRIMS = frozenset({
@@ -83,17 +72,19 @@ def fold_constants(expr: Expr, bound: frozenset[str]) -> Expr:
     """Bottom-up constant folding of pure primitive applications.
 
     ``bound`` tracks locally bound names: a shadowed primitive name is
-    not foldable.
+    not foldable.  Returns ``expr`` itself when nothing folds.
     """
-    if isinstance(expr, (Lit, Var)):
+    kind = type(expr)
+    if kind is Lit or kind is Var:
         return expr
-    if isinstance(expr, Lambda):
-        return Lambda(expr.params,
-                      fold_constants(expr.body, bound | set(expr.params)),
-                      expr.loc)
-    if isinstance(expr, App):
-        fn = fold_constants(expr.fn, bound)
-        args = tuple(fold_constants(a, bound) for a in expr.args)
+    if kind is UnitExpr:
+        return optimize_unit(expr, around=bound)
+    names = binder_names(expr)
+    inner = bound.union(names) if names else bound
+    folded = map_children(expr, lambda e: fold_constants(e, bound),
+                          lambda e: fold_constants(e, inner))
+    if kind is App:
+        fn, args = folded.fn, folded.args
         if isinstance(fn, Var) and fn.name in FOLDABLE_PRIMS \
                 and fn.name not in bound and all(_is_literal(a)
                                                  for a in args):
@@ -103,74 +94,82 @@ def fold_constants(expr: Expr, bound: frozenset[str]) -> Expr:
             except LangError:
                 # Folding must not turn a run-time error into silence;
                 # leave the application for run time.
-                return App(fn, args, expr.loc)
+                return folded
             if isinstance(value, (int, float, str, bool, type(None))):
                 return Lit(value, expr.loc)
-        return App(fn, args, expr.loc)
-    if isinstance(expr, If):
-        test = fold_constants(expr.test, bound)
-        then = fold_constants(expr.then, bound)
-        orelse = fold_constants(expr.orelse, bound)
-        if _is_literal(test):
-            return then if test.value is not False else orelse
-        return If(test, then, orelse, expr.loc)
-    if isinstance(expr, Let):
-        new_bindings = tuple((n, fold_constants(e, bound))
-                             for n, e in expr.bindings)
-        inner = bound | {n for n, _ in expr.bindings}
-        return Let(new_bindings, fold_constants(expr.body, inner), expr.loc)
-    if isinstance(expr, Letrec):
-        inner = bound | {n for n, _ in expr.bindings}
-        new_bindings = tuple((n, fold_constants(e, inner))
-                             for n, e in expr.bindings)
-        return Letrec(new_bindings, fold_constants(expr.body, inner),
-                      expr.loc)
-    if isinstance(expr, SetBang):
-        return SetBang(expr.name, fold_constants(expr.expr, bound),
-                       expr.loc)
-    if isinstance(expr, Seq):
-        return Seq(tuple(fold_constants(e, bound) for e in expr.exprs),
-                   expr.loc)
-    if isinstance(expr, UnitExpr):
-        return optimize_unit(expr)
-    if isinstance(expr, CompoundExpr):
-        return CompoundExpr(
-            expr.imports, expr.exports,
-            LinkClause(fold_constants(expr.first.expr, bound),
-                       expr.first.withs, expr.first.provides),
-            LinkClause(fold_constants(expr.second.expr, bound),
-                       expr.second.withs, expr.second.provides),
-            expr.loc)
-    if isinstance(expr, InvokeExpr):
-        return InvokeExpr(
-            fold_constants(expr.expr, bound),
-            tuple((n, fold_constants(e, bound)) for n, e in expr.links),
-            expr.loc)
-    raise TypeError(f"fold_constants: unknown expression {expr!r}")
+    elif kind is If and _is_literal(folded.test):
+        return folded.then if folded.test.value is not False \
+            else folded.orelse
+    return folded
 
 
-def optimize_unit(unit: UnitExpr, rounds: int = 4) -> UnitExpr:
+def optimize_unit(unit: UnitExpr, rounds: int = 4,
+                  around: frozenset[str] = frozenset()) -> UnitExpr:
     """Optimize one unit: fold, inline literals, drop dead definitions.
 
     The unit's interface is the boundary: imports are opaque, exports
-    are roots.  The result has the same interface and — because only
+    are roots.  ``around`` names the variables bound where the unit
+    appears: a primitive they shadow is not folded.  The result has the same interface and — because only
     valuable (effect-free) definitions are touched — the same
-    behaviour; the differential tests check that claim.
+    behaviour; the differential tests check that claim.  A round that
+    changes nothing returns its input, so the fixpoint test is
+    identity.
     """
     current = unit
     for _ in range(rounds):
-        step = _optimize_unit_once(current)
-        if step == current:
+        step = _optimize_unit_once(current, around)
+        if step is current:
             return step
         current = step
     return current
 
 
-def _optimize_unit_once(unit: UnitExpr) -> UnitExpr:
-    assigned, _units = program_bindings(unit)
+def _assigned(unit: UnitExpr) -> frozenset[str]:
+    """Every ``set!`` target in ``unit``, memoized on each unit.
+
+    A unit's set joins the sets of the units nested in it instead of
+    walking their bodies again, so optimizing units nested n deep
+    walks each node once rather than once per enclosing unit.
+    """
+    memoize = _terms.caching_enabled()
+    cached = getattr(unit, "_assigned", None) if memoize else None
+    if cached is not None:
+        return cached
+    # Pre-order over the units whose set is not known yet: an entry is
+    # a unit, the targets found in it, and the entries nested in it.
+    root: tuple = (unit, set(), [])
+    order = [root]
+    stack = [(kid, root) for kid in children(unit)]
+    while stack:
+        node, entry = stack.pop()
+        kind = type(node)
+        if kind is UnitExpr:
+            known = getattr(node, "_assigned", None) if memoize else None
+            if known is not None:
+                entry[1].update(known)
+                continue
+            nested: tuple = (node, set(), [])
+            entry[2].append(nested)
+            order.append(nested)
+            entry = nested
+        elif kind is SetBang:
+            entry[1].add(node.name)
+        stack += [(kid, entry) for kid in children(node)]
+    # Innermost first, so each nested set is complete when joined.
+    for node, targets, nested in reversed(order):
+        for _, more, _ in nested:
+            targets |= more
+        if memoize:
+            object.__setattr__(node, "_assigned", frozenset(targets))
+    return frozenset(root[1])
+
+
+def _optimize_unit_once(unit: UnitExpr,
+                        around: frozenset[str]) -> UnitExpr:
+    assigned = _assigned(unit)
 
     # 1. Constant-fold every right-hand side and the init.
-    bound = frozenset(unit.imports) | frozenset(unit.defined)
+    bound = around.union(unit.imports, unit.defined)
     defns = [(name, fold_constants(rhs, bound))
              for name, rhs in unit.defns]
     init = fold_constants(unit.init, bound)
@@ -180,8 +179,6 @@ def _optimize_unit_once(unit: UnitExpr) -> UnitExpr:
         name: rhs for name, rhs in defns
         if _is_literal(rhs) and name not in assigned}
     if inline:
-        from repro.lang.subst import substitute
-
         defns = [(name, substitute(rhs, {k: v for k, v in inline.items()
                                          if k != name}))
                  for name, rhs in defns]
@@ -204,6 +201,9 @@ def _optimize_unit_once(unit: UnitExpr) -> UnitExpr:
                 frontier.append(dep)
     new_defns = tuple((name, rhs) for name, rhs in defns if name in live)
 
+    if init is unit.init and len(new_defns) == len(unit.defns) and all(
+            rhs is old for (_, rhs), (_, old) in zip(new_defns, unit.defns)):
+        return unit
     return UnitExpr(unit.imports, unit.exports, new_defns, init, unit.loc)
 
 

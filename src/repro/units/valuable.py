@@ -36,7 +36,8 @@ from repro.lang.ast import (
     SetBang,
     Var,
 )
-from repro.units.ast import CompoundExpr, InvokeExpr, UnitExpr, unit_children
+from repro.lang.subst import children
+from repro.units.ast import CompoundExpr, InvokeExpr, UnitExpr
 
 #: Primitives whose application to valuable arguments is valuable:
 #: they terminate and have no observable effects (allocation included,
@@ -171,12 +172,12 @@ def program_bindings(
             units.append((node, scope))
             names = BENIGN_PRIMS.intersection(node.imports + node.defined)
         if names:
-            inner, outer = unit_children(node), ()
+            inner, outer = children(node), ()
             if kind is Let:  # let right-hand sides are outside its scope
                 inner, outer = (node.body,), inner[:-1]
             stack += (_Scope(scope), *inner, _Scope(scope | names), *outer)
             continue
-        stack.extend(unit_children(node))
+        stack.extend(children(node))
     assigned_prims = BENIGN_PRIMS.intersection(assigned)
     return frozenset(assigned), [(unit, around | assigned_prims)
                                  for unit, around in units]

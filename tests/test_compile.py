@@ -11,12 +11,12 @@ from repro.units.compile import compile_expr, compile_unit
 
 
 def contains_unit_forms(expr: Expr) -> bool:
-    from repro.units.ast import unit_children
+    from repro.lang.subst import children
 
     if isinstance(expr, (UnitExpr, CompoundExpr, InvokeExpr)):
         return True
     try:
-        kids = unit_children(expr)
+        kids = children(expr)
     except TypeError:
         return False
     return any(contains_unit_forms(k) for k in kids)

@@ -9,12 +9,12 @@ from repro.units.linker import LinkStats, flatten, link_and_optimize
 
 
 def contains_compound(expr) -> bool:
-    from repro.units.ast import unit_children
+    from repro.lang.subst import children
 
     if isinstance(expr, CompoundExpr):
         return True
     try:
-        kids = unit_children(expr)
+        kids = children(expr)
     except TypeError:
         return False
     return any(contains_compound(k) for k in kids)
@@ -213,3 +213,47 @@ class TestLinkAndOptimize:
         interp = Interpreter()
         assert interp.eval(linked) == direct_result
         assert interp.port.getvalue() == direct_output
+
+
+class TestLinkScalesWithNesting:
+    """A unit nested n deep must not cost the link stage n walks of the
+    units inside it (each round of each unit used to re-walk its whole
+    subtree, and compare it deeply against the previous round)."""
+
+    @staticmethod
+    def _calls(depth: int) -> int:
+        """Python calls the link stage makes into the package: every
+        walk makes at least one per node it visits, so the count
+        stands in for nodes visited without timing anything."""
+        import os
+        import sys
+
+        import repro
+        from repro.lang.parser import parse_script
+        from repro.limits import Budget, budget_scope
+        from repro.units.cache import unit_cache_scope
+
+        package = os.path.dirname(repro.__file__)
+        text = ("(invoke (unit (import) (export) " * depth + "42"
+                + "))" * depth)
+        calls = 0
+
+        def hook(frame, event, _arg):
+            nonlocal calls
+            if event == "call" and \
+                    frame.f_code.co_filename.startswith(package):
+                calls += 1
+
+        with budget_scope(Budget(max_depth=4 * depth)):
+            expr = parse_script(text)
+            with unit_cache_scope():
+                sys.setprofile(hook)
+                try:
+                    link_and_optimize(expr)
+                finally:
+                    sys.setprofile(None)
+        return calls
+
+    def test_doubling_the_depth_at_most_doubles_the_work(self):
+        small, large = self._calls(100), self._calls(200)
+        assert large <= 2.2 * small, (small, large)

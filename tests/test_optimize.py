@@ -321,3 +321,27 @@ class TestImpurePrimsNeverFold:
         expr = fold_constants(parse_program("(display (+ 1 2))"),
                               frozenset())
         assert show(expr) == "(display 3)"
+
+
+class TestIdentityAndScope:
+    def test_nothing_to_fold_returns_the_same_node(self):
+        expr = parse_program("(lambda (x) (if x (f x) (g 1)))")
+        assert fold_constants(expr, frozenset()) is expr
+
+    def test_an_optimized_unit_is_its_own_fixpoint(self):
+        unit = opt("""
+            (unit (import) (export f)
+              (define k 2)
+              (define f (lambda (x) (* x k)))
+              (f 3))
+        """)
+        assert optimize_unit(unit) is unit
+
+    def test_a_primitive_rebound_around_a_unit_is_not_folded(self):
+        # The unit's (+ 1 2) calls the let-bound procedure, not the
+        # primitive, so folding it to 3 would change the answer.
+        expr = parse_program(
+            "(let ((+ (lambda (a b) 0)))"
+            " (invoke (unit (import) (export) (+ 1 2))))")
+        assert Interpreter().eval(optimize_expr(expr)) == \
+            Interpreter().eval(expr) == 0

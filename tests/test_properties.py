@@ -30,9 +30,10 @@ from repro.lang.ast import (
 from repro.lang.interp import Interpreter
 from repro.lang.machine import Machine, is_value
 from repro.lang.parser import parse_expr
-from repro.lang.pretty import expr_to_datum, show
+from repro.lang.sexpr import read_sexpr
+from repro.lang.pretty import show
 from repro.lang.subst import alpha_rename_unit, free_vars
-from repro.units.ast import InvokeExpr, UnitExpr
+from repro.units.ast import CompoundExpr, InvokeExpr, LinkClause, UnitExpr
 from repro.units.compile import compile_expr
 
 # ---------------------------------------------------------------------------
@@ -85,7 +86,7 @@ def _ast_exprs() -> st.SearchStrategy[Expr]:
 def test_print_parse_roundtrip(expr):
     """parse(print(e)) == e, up to the (void) literal normal form."""
     printed = show(expr)
-    reparsed = parse_expr(expr_to_datum(expr))
+    reparsed = parse_expr(read_sexpr(printed))
     # Lit(None) prints as (void), which reads back as an application;
     # normalize by a second print.
     assert show(reparsed) == printed
@@ -110,7 +111,8 @@ def _program(depth: int, env: tuple[str, ...]):
         if env:
             choices.append("var")
         if depth > 0:
-            choices += ["arith", "if", "let", "beta", "seq", "unit"]
+            choices += ["arith", "if", "let", "beta", "seq", "unit",
+                        "cyclic", "passed", "cell", "plus"]
         kind = draw(st.sampled_from(choices))
         if kind == "int":
             return Lit(draw(st.integers(-20, 20)))
@@ -141,6 +143,30 @@ def _program(depth: int, env: tuple[str, ...]):
             first = draw(_program(depth - 1, env))
             second = draw(_program(depth - 1, env))
             return Seq((first, second))
+        if kind == "cyclic":
+            return _cyclic_compound(draw(_program(depth - 1, ("k",))))
+        if kind == "passed":
+            # A unit value bound by let or passed to a lambda, then
+            # invoked; its body may close over the enclosing names.
+            unit = UnitExpr((), (), (), draw(_program(depth - 1, env)))
+            invoke = InvokeExpr(Var("u%p"), ())
+            if draw(st.booleans()):
+                return Let((("u%p", unit),), invoke)
+            return App(Lambda(("u%p",), invoke), (unit,))
+        if kind == "cell":
+            # set! on a unit-defined variable, read back by the init.
+            first = draw(_program(depth - 1, env))
+            step = draw(_program(depth - 1, env))
+            cell = Var("c%s")
+            return InvokeExpr(UnitExpr(
+                (), (), (("c%s", first),),
+                Seq((SetBang("c%s", App(Var("+"), (cell, step))), cell))),
+                ())
+        if kind == "plus":
+            # A let that rebinds a primitive around arbitrary code,
+            # units included: nothing may fold its applications.
+            minus = Lambda(("a", "b"), App(Var("-"), (Var("a"), Var("b"))))
+            return Let((("+", minus),), draw(_program(depth - 1, env)))
         # kind == "unit": an invoke of a unit importing one value and
         # defining one helper function.
         import_name = "in%u"
@@ -155,6 +181,21 @@ def _program(depth: int, env: tuple[str, ...]):
         return InvokeExpr(unit, ((import_name, arg),))
 
     return go()
+
+
+def _cyclic_compound(base: Expr) -> Expr:
+    """Two units linked in a cycle: ``f`` counts ``k`` down through
+    ``g``, which calls back into ``f``; ``base`` is the value at 0."""
+    f, g, k = Var("f%c"), Var("g%c"), Var("k")
+    counter = UnitExpr(("g%c",), ("f%c",), (("f%c", Lambda(("k",), If(
+        App(Var("<"), (k, Lit(1))), base,
+        App(g, (App(Var("-"), (k, Lit(1))),))))),), Lit(0))
+    caller = UnitExpr(("f%c",), ("g%c",),
+                      (("g%c", Lambda(("k",), App(f, (k,)))),),
+                      App(g, (Lit(2),)))
+    return InvokeExpr(CompoundExpr(
+        (), (), LinkClause(counter, ("g%c",), ("f%c",)),
+        LinkClause(caller, ("f%c",), ("g%c",))), ())
 
 
 @settings(max_examples=120, deadline=None)

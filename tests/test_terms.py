@@ -17,7 +17,8 @@ from repro.lang.ast import App, If, Lambda, Let, Lit, Var
 from repro.lang.parser import parse_program
 from repro.lang.pretty import show
 from repro.lang.subst import fresh_like, free_vars, substitute
-from repro.units.ast import CompoundExpr, UnitExpr, unit_children
+from repro.lang.subst import children
+from repro.units.ast import CompoundExpr, UnitExpr
 from repro.units.cache import pycode_fingerprint, unit_cache_scope
 
 UNIT_SRC = ("(unit (import a) (export f)"
@@ -110,7 +111,7 @@ def _all_nodes(root):
     while stack:
         node = stack.pop()
         yield node
-        stack.extend(unit_children(node))
+        stack.extend(children(node))
 
 
 class TestTermKeyShape:

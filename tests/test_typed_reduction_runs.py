@@ -117,11 +117,11 @@ def test_block_erasure_has_no_unit_forms():
     erased = erase_typed_block(block)
 
     def walk(expr):
-        from repro.units.ast import unit_children
+        from repro.lang.subst import children
 
         assert not isinstance(expr, (UnitExpr, CompoundExpr, InvokeExpr))
         try:
-            kids = unit_children(expr)
+            kids = children(expr)
         except TypeError:
             return
         for kid in kids:

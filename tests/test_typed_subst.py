@@ -1,66 +1,64 @@
-"""Tests for typed renaming and substitution (repro.unitc.subst)."""
+"""Tests for typed renaming and substitution: the shared value-namespace
+walk (:func:`repro.lang.subst.substitute`) on typed terms, type
+substitution by abbreviation expansion, and compound renaming."""
 
 import pytest
 
+from repro.lang.subst import substitute
 from repro.types.types import INT, STR, TyVar
 from repro.unitc.ast import TLambda, TLit, TVar
 from repro.unitc.parser import parse_typed_program
 from repro.unitc.pretty import show_texpr
-from repro.unitc.subst import (
-    rename_types_texpr,
-    rename_unit_internals,
-    rename_values_texpr,
-    subst_types_texpr,
-    subst_values_texpr,
-)
+from repro.unitc.reduce import rename_unit_internals
+from repro.unite.expand import expand_texpr
 
 
 class TestValueSubstitution:
     def test_free_variable_replaced(self):
         expr = parse_typed_program("(+ x 1)")
-        out = subst_values_texpr(expr, {"x": TLit(41)})
+        out = substitute(expr, {"x": TLit(41)})
         assert show_texpr(out) == "(+ 41 1)"
 
     def test_lambda_param_shadows(self):
         expr = parse_typed_program("(lambda ((x int)) x)")
-        assert subst_values_texpr(expr, {"x": TLit(1)}) == expr
+        assert substitute(expr, {"x": TLit(1)}) == expr
 
     def test_let_binding_shadows_body(self):
         expr = parse_typed_program("(let ((x 1)) x)")
-        out = subst_values_texpr(expr, {"x": TLit(9)})
+        out = substitute(expr, {"x": TLit(9)})
         # the binding's rhs is outside the scope; the body is inside
         assert show_texpr(out) == "(let ((x 1)) x)"
 
     def test_letrec_shadows_everything(self):
         expr = parse_typed_program(
             "(letrec ((f (-> int int) (lambda ((n int)) (f n)))) f)")
-        assert subst_values_texpr(expr, {"f": TLit(0)}) == expr
+        assert substitute(expr, {"f": TLit(0)}) == expr
 
     def test_unit_interface_shadows(self):
         expr = parse_typed_program(
             "(unit/t (import (val x int)) (export) x)")
-        assert subst_values_texpr(expr, {"x": TLit(1)}) == expr
+        assert substitute(expr, {"x": TLit(1)}) == expr
 
     def test_set_target_substituted_with_variable(self):
         expr = parse_typed_program("(set! x 1)")
-        out = subst_values_texpr(expr, {"x": TVar("y")})
+        out = substitute(expr, {"x": TVar("y")})
         assert show_texpr(out) == "(set! y 1)"
 
     def test_set_target_with_non_variable_rejected(self):
         expr = parse_typed_program("(set! x 1)")
         with pytest.raises(ValueError):
-            subst_values_texpr(expr, {"x": TLit(3)})
+            substitute(expr, {"x": TLit(3)})
 
     def test_rename_values(self):
         expr = parse_typed_program("(f (g 1))")
-        out = rename_values_texpr(expr, {"f": "f2"})
+        out = substitute(expr, {"f": TVar("f2")})
         assert show_texpr(out) == "(f2 (g 1))"
 
 
 class TestTypeSubstitution:
     def test_annotation_replaced(self):
         expr = parse_typed_program("(lambda ((x t)) x)")
-        out = subst_types_texpr(expr, {"t": INT})
+        out = expand_texpr(expr, {"t": INT})
         assert isinstance(out, TLambda)
         assert out.params[0][1] == INT
 
@@ -68,13 +66,13 @@ class TestTypeSubstitution:
         expr = parse_typed_program("""
             (unit/t (import (type t) (val v t)) (export) v)
         """)
-        out = subst_types_texpr(expr, {"t": INT})
+        out = expand_texpr(expr, {"t": INT})
         # t is the unit's own import; annotations keep referring to it.
         assert out == expr
 
     def test_rename_types(self):
         expr = parse_typed_program("(lambda ((x t)) x)")
-        out = rename_types_texpr(expr, {"t": "u"})
+        out = expand_texpr(expr, {"t": TyVar("u")})
         assert out.params[0][1] == TyVar("u")
 
 
@@ -117,3 +115,32 @@ class TestRenameUnitInternals:
         before, _, _ = run_typed_expr(TypedInvokeExpr(unit, (), ()))
         after, _, _ = run_typed_expr(TypedInvokeExpr(renamed, (), ()))
         assert before == after == 42
+
+
+class TestErasureCommutesWithSubstitution:
+    """One walk serves both calculi, so substituting before or after
+    erasure gives the same untyped term."""
+
+    def test_on_every_typed_corpus_subterm(self):
+        from repro.lang.ast import Lit
+        from repro.lang.subst import children, free_vars
+        from repro.unitc.erase import erase
+        from repro.unitc.prims import PRIM_ERASURE
+        from tests.test_corpus_typed import CASES
+
+        pairs = 0
+        for case in CASES:
+            stack = [parse_typed_program(case.source)]
+            while stack:
+                expr = stack.pop()
+                stack.extend(children(expr))
+                for name in sorted(free_vars(expr)):
+                    # Erasure renames these primitives, so a typed
+                    # substitution for one has no untyped counterpart.
+                    if name in PRIM_ERASURE:
+                        continue
+                    pairs += 1
+                    assert erase(substitute(expr, {name: TLit(7)})) == \
+                        substitute(erase(expr), {name: Lit(7)}), \
+                        (case.name, name, show_texpr(expr))
+        assert pairs >= 300
