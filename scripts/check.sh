@@ -26,7 +26,9 @@
 # docs/PERFORMANCE.md, "Printer"), if a parsed and digested deep-128
 # AST holds more than 1.5
 # GC-tracked objects per node (docs/PERFORMANCE.md, "Garbage
-# collection"), if a second pycode
+# collection"), if 64 one-shot served texts leave more than 1,000
+# GC-tracked objects reachable from the parse store (docs/PERFORMANCE.md,
+# "Garbage collection"), if a second pycode
 # demo run against the same cache dir misses the codegen store, if
 # codegen's emitted shape drifts (a strict chain-128 with any undefined
 # check, a library-64 without exactly 2 makers, a lenient forward
@@ -292,6 +294,54 @@ print(f"AST heap shape ok: {nodes} nodes, "
       f"{sum(census.values())} tracked, {per_node:.3f} per node")
 assert per_node <= 1.5, \
     f"AST holds {per_node:.2f} GC-tracked objects per node (> 1.5)"
+EOF
+
+echo "==> gate: one-shot retention (objects the parse store keeps)"
+python - <<'EOF'
+import gc
+import types
+
+from repro import bench
+from repro.lang.pretty import show
+from repro.obs import MetricsRegistry
+from repro.serve.handlers import execute_request
+from repro.serve.protocol import validate_request
+from repro.serve.server import ServeConfig
+from repro.units.cache import CacheStore
+
+# 64 distinct texts, each sent once, as on cold-compile and edit-relink.
+# The parse store admits a text on its second sighting, so it keeps the
+# window's two texts (about 490 objects), not all 64 (about 15,400).
+# The count is deterministic.
+OPAQUE = (type, types.ModuleType, types.FunctionType)
+
+
+def reachable(root):
+    seen = {id(root)}
+    stack = [root]
+    while stack:
+        for ref in gc.get_referents(stack.pop()):
+            if (gc.is_tracked(ref) and not isinstance(ref, OPAQUE)
+                    and id(ref) not in seen):
+                seen.add(id(ref))
+                stack.append(ref)
+    return len(seen)
+
+
+template = show(bench.chain_program(16))
+store, registry, config = CacheStore(), MetricsRegistry(), ServeConfig()
+for i in range(64):
+    source = template.replace("(lambda () 1)", f"(lambda () {i + 2})")
+    response = execute_request(
+        validate_request({"id": i, "op": "run", "source": source}),
+        store, registry, config)
+    assert response["value"] == str(i + 17), response
+gc.collect()
+held = reachable(store.parse)
+print(f"one-shot retention ok: 64 chain-16 texts, {len(store.parse)} "
+      f"entries, {held} tracked objects reachable from the parse store")
+assert held <= 1000, \
+    f"the parse store keeps {held} objects of one-shot texts (> 1,000)"
 EOF
 
 echo "==> smoke: pycode backend (codegen cache across invocations)"

@@ -161,6 +161,16 @@ def bad_request_response(request_id: object,
     return out
 
 
+def too_large_response(limit: int) -> dict[str, object]:
+    """The answer to a request line longer than ``limit`` bytes; the
+    line was never decoded, so its ``id`` is unknown."""
+    out = _base(None, "error")
+    out["error"] = {"type": "request_too_large",
+                    "message": f"request line exceeds {limit} bytes",
+                    "code": 1}
+    return out
+
+
 def overloaded_response(request_id: object) -> dict[str, object]:
     return _base(request_id, "overloaded")
 

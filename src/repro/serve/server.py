@@ -63,39 +63,39 @@ from repro.units.cache import CacheStore
 SERVE_GC_THRESHOLD = (20_000, 10, 10)
 
 
-class _FullCollectionTimer:
-    """A ``gc.callbacks`` probe that times every gen-2 collection."""
+class _CollectionTimer:
+    """A ``gc.callbacks`` probe that times every collection, per
+    generation."""
 
     def __init__(self) -> None:
-        self.total_s = 0.0
-        self.max_s = 0.0
+        self.total_s = [0.0, 0.0, 0.0]
+        self.max_s = [0.0, 0.0, 0.0]
         self._started = 0.0
 
     def __call__(self, phase: str, info: dict[str, int]) -> None:
-        if info["generation"] != 2:
-            return
         if phase == "start":
             self._started = time.perf_counter()
             return
+        generation = info["generation"]
         pause = time.perf_counter() - self._started
-        self.total_s += pause
-        self.max_s = max(self.max_s, pause)
+        self.total_s[generation] += pause
+        self.max_s[generation] = max(self.max_s[generation], pause)
 
 
 #: Collections are process-wide, so is their timer.
-_full_collections = _FullCollectionTimer()
+_collections = _CollectionTimer()
 
 
 def configure_serving_gc() -> None:
-    """Size the young generation to a request and time full collections.
+    """Size the young generation to a request and time collections.
 
     ``repro serve`` and every worker process call this once at startup;
     in-process servers (tests, the load generator) keep the host's
     settings.
     """
     gc.set_threshold(*SERVE_GC_THRESHOLD)
-    if _full_collections not in gc.callbacks:
-        gc.callbacks.append(_full_collections)
+    if _collections not in gc.callbacks:
+        gc.callbacks.append(_collections)
 
 
 def gc_stats() -> dict[str, object]:
@@ -104,23 +104,30 @@ def gc_stats() -> dict[str, object]:
     Pause times are ``None`` unless :func:`configure_serving_gc` ran,
     since only then is there a probe to have measured them.
     """
-    timed = _full_collections in gc.callbacks
+    timed = _collections in gc.callbacks
     return {
         "collections": [gen["collections"] for gen in gc.get_stats()],
-        "gen2_pause_total_s":
-            _full_collections.total_s if timed else None,
-        "gen2_pause_max_s": _full_collections.max_s if timed else None,
+        "pause_total_s": list(_collections.total_s) if timed else None,
+        "pause_max_s": list(_collections.max_s) if timed else None,
+        "gen2_pause_total_s": _collections.total_s[2] if timed else None,
+        "gen2_pause_max_s": _collections.max_s[2] if timed else None,
         "threshold": list(gc.get_threshold()),
     }
 
 
 def _sum_gc_stats(per_worker: list[dict[str, object]]) -> dict[str, object]:
     """One ``gc`` block for a worker pool: counts and pause totals summed,
-    the longest pause kept, and each worker's threshold listed."""
+    the longest pauses kept, and each worker's threshold listed."""
     blocks = [entry["gc"] for entry in per_worker]
+
+    def per_generation(field: str, combine) -> list:
+        return [combine(values) for values in
+                zip(*(block[field] for block in blocks))]
+
     return {
-        "collections": [sum(counts) for counts in
-                        zip(*(block["collections"] for block in blocks))],
+        "collections": per_generation("collections", sum),
+        "pause_total_s": per_generation("pause_total_s", sum),
+        "pause_max_s": per_generation("pause_max_s", max),
         "gen2_pause_total_s":
             sum(block["gen2_pause_total_s"] for block in blocks),
         "gen2_pause_max_s":
@@ -128,6 +135,44 @@ def _sum_gc_stats(per_worker: list[dict[str, object]]) -> dict[str, object]:
         "threshold": list(gc.get_threshold()),
         "worker_thresholds": [block["threshold"] for block in blocks],
     }
+
+
+#: The longest request line the server reads, newline included.  A
+#: longer line is drained and answered ``request_too_large``.
+MAX_REQUEST_BYTES = 16 * 1024 * 1024
+
+
+class _RequestTooLarge(Exception):
+    """A request line past :data:`MAX_REQUEST_BYTES`, already drained."""
+
+
+async def _read_line(reader: asyncio.StreamReader) -> bytearray | None:
+    """The next request line, ``None`` at end of stream.
+
+    The line is read in chunks of at most the stream's buffer limit, so
+    a line longer than that is not an error.  A line longer than
+    :data:`MAX_REQUEST_BYTES` is read to its newline, dropped, and
+    reported as :class:`_RequestTooLarge`.
+    """
+    line = bytearray()
+    too_large = False
+    while True:
+        try:
+            chunk = await reader.readuntil(b"\n")
+            done = True
+        except asyncio.IncompleteReadError as err:  # end of stream
+            chunk, done = err.partial, True
+        except asyncio.LimitOverrunError as err:  # past the buffer
+            chunk, done = await reader.readexactly(err.consumed), False
+        if not too_large:
+            line += chunk
+            if len(line) > MAX_REQUEST_BYTES:
+                too_large = True
+                line = bytearray()
+        if done:
+            if too_large:
+                raise _RequestTooLarge
+            return line or None
 
 
 @dataclass
@@ -263,13 +308,21 @@ class LinkServer:
         self._writers.add(writer)
         try:
             while True:
-                line = await reader.readline()
-                if not line:
-                    break
-                if not line.strip():
-                    continue
-                task = asyncio.create_task(
-                    self._handle_line(line, writer, write_lock))
+                try:
+                    line = await _read_line(reader)
+                except _RequestTooLarge:
+                    work = self._send(
+                        writer, write_lock,
+                        _protocol.too_large_response(MAX_REQUEST_BYTES))
+                else:
+                    if line is None:
+                        break
+                    if line.isspace():
+                        continue
+                    work = self._handle_line(line, writer, write_lock)
+                    # The task holds the only reference to the line.
+                    del line
+                task = asyncio.create_task(work)
                 for bag in (tasks, self._inflight):
                     bag.add(task)
                 task.add_done_callback(tasks.discard)
@@ -288,12 +341,17 @@ class LinkServer:
             except (OSError, asyncio.CancelledError):
                 pass
 
-    async def _handle_line(self, line: bytes,
+    async def _handle_line(self, line: bytearray,
                            writer: asyncio.StreamWriter,
                            write_lock: asyncio.Lock) -> None:
         request_id: object = None
         try:
-            obj = json.loads(line.decode("utf-8"))
+            # Free the bytes once decoded, and the text once parsed:
+            # a large request is held once, not three times.
+            text = line.decode("utf-8")
+            line.clear()
+            obj = json.loads(text)
+            del text
             if isinstance(obj, dict):
                 request_id = obj.get("id")
             req = _protocol.validate_request(obj)

@@ -48,6 +48,18 @@ digests, so an entry never goes stale and nothing needs invalidating.
 :meth:`CacheStore.clear` empties the in-memory stores (the serve
 ``flush`` op).
 
+Admission: the parse store admits a text to its LRU only on the
+text's second sighting (:class:`AdmittingCache`, after 2Q).  A first
+sighting waits in a window of :data:`_WINDOW` entries; a text that
+leaves the window unhit leaves only its digest, as a ghost, and a
+later sighting of a ghost is a miss that admits it.  Served traffic
+that never repeats a text (every edit-relink step, every distinct
+cold compile) so keeps the syntax and code of two texts, not of 256,
+and its ASTs die by reference counting instead of being promoted and
+traced by every older-generation collection.  A repeated archive
+retrieval or a warm re-send hits from its second sighting on.
+Recording a verdict or code (:func:`record_entry`) is not a sighting.
+
 Every lookup emits exactly one ``cache.hit`` or ``cache.miss`` event
 (guarded, so nothing is built when observability is off) carrying the
 cache's name; LRU evictions emit ``cache.evict``.  The on-disk tier
@@ -112,12 +124,15 @@ class TermCache:
         with self._lock:
             self._table[key] = value
             self._table.move_to_end(key)
-            evicted = len(self._table) > self.maxsize
+            evicted = int(len(self._table) > self.maxsize)
             if evicted:
                 self._table.popitem(last=False)
+        self._emit_put(evicted)
+
+    def _emit_put(self, evicted: int) -> None:
         col = _obs_current()
         if col is not None:
-            if evicted:
+            for _ in range(evicted):
                 col.emit("cache.evict", {"cache": self.name})
             col.gauge(f"cache.occupancy.{self.name}", len(self._table))
 
@@ -127,6 +142,88 @@ class TermCache:
     def clear(self) -> None:
         with self._lock:
             self._table.clear()
+
+
+#: Entries the parse store holds on probation: the text being served
+#: and the one before it.
+_WINDOW = 2
+
+
+class AdmittingCache(TermCache):
+    """A :class:`TermCache` that admits a key on its second sighting
+    (2Q; Johnson & Shasha, VLDB 1994).
+
+    A first :meth:`put` lands in a FIFO *window* of :data:`_WINDOW`
+    entries.  An entry that leaves the window unhit leaves only its
+    key behind, in a *ghost* list of at most ``maxsize`` keys.  A
+    :meth:`get` that hits the window, or a :meth:`put` of a ghost key,
+    admits the key to the LRU.  Window entries live in ``_table`` too
+    and count toward ``maxsize``; evictions from the window and from
+    the LRU both emit ``cache.evict``.
+    """
+
+    def __init__(self, name: str, maxsize: int):
+        super().__init__(name, maxsize)
+        # Keys of ``_table`` not yet admitted, oldest first.
+        self._window: "OrderedDict[object, None]" = OrderedDict()
+        self._ghosts: "OrderedDict[object, None]" = OrderedDict()
+
+    def get(self, key: object) -> object:
+        with self._lock:
+            found = self._table.get(key, _MISS)
+            if found is not _MISS:
+                self._window.pop(key, None)
+                self._table.move_to_end(key)
+        return found
+
+    def put(self, key: object, value: object) -> None:
+        evicted = 0
+        with self._lock:
+            seen_before = key in self._table or key in self._ghosts
+            self._table[key] = value
+            self._table.move_to_end(key)
+            if seen_before:
+                self._window.pop(key, None)
+                self._ghosts.pop(key, None)
+            else:
+                self._window[key] = None
+                if len(self._window) > _WINDOW:
+                    self._demote(next(iter(self._window)))
+                    evicted += 1
+            while len(self._table) > self.maxsize:
+                # The least recent admitted key, else the oldest
+                # window key; never the key just stored.
+                victim = next((k for k in self._table
+                               if k not in self._window and k != key),
+                              None)
+                if victim is None:
+                    self._demote(next(k for k in self._window
+                                      if k != key))
+                else:
+                    del self._table[victim]
+                evicted += 1
+        self._emit_put(evicted)
+
+    def _demote(self, key: object) -> None:
+        """Drop a window entry, keeping only its key as a ghost."""
+        del self._window[key]
+        del self._table[key]
+        self._ghosts[key] = None
+        if len(self._ghosts) > self.maxsize:
+            self._ghosts.popitem(last=False)
+
+    def replace(self, key: object, value: object) -> None:
+        """Update the entry of a resident key; an absent one (a ghost,
+        or evicted) stays absent.  Not a sighting."""
+        with self._lock:
+            if key in self._table:
+                self._table[key] = value
+
+    def clear(self) -> None:
+        with self._lock:
+            self._table.clear()
+            self._window.clear()
+            self._ghosts.clear()
 
 
 #: The sources that shape a generated module: the generator, the runtime
@@ -168,7 +265,7 @@ class CacheStore:
 
     def __init__(self, disk_dir: str | Path | None = None):
         self.disk_dir = Path(disk_dir) if disk_dir is not None else None
-        self.parse = TermCache("dynlink", _SIZES["dynlink"])
+        self.parse = AdmittingCache("dynlink", _SIZES["dynlink"])
         self.flatten = TermCache("flatten", _SIZES["flatten"])
         self.caches = (self.parse, self.flatten)
         self._stripes = tuple(threading.Lock()
@@ -384,13 +481,14 @@ def cached_parse(parser: str, origin: str, source: str,
 
 
 def record_entry(entry: ParseEntry) -> ParseEntry:
-    """Replace the stored entry by ``entry`` (no event: not a lookup).
+    """Replace the stored entry by ``entry`` if its text is still
+    resident (no event: not a lookup, nor a sighting).
 
     Entries are never mutated, so the store's lock covers the update.
     Only a completed check or compile may record one."""
     store = _active_store()
     if store is not None and entry.key is not None:
-        store.parse.put(entry.key, entry)
+        store.parse.replace(entry.key, entry)
     return entry
 
 

@@ -10,8 +10,10 @@ Three layers, tested bottom-up:
 * the daemon end-to-end over real sockets (``ServerThread`` +
   ``ServeClient``): warm runs share the store, the ``metrics`` op's
   envelope feeds ``load_snapshot`` unchanged, admission control sheds
-  instead of queueing, and a draining server answers
-  ``shutting-down`` while in-flight work still finishes.
+  instead of queueing, a draining server answers
+  ``shutting-down`` while in-flight work still finishes, and a request
+  line longer than the stream buffer is served while one past the
+  request limit is refused without losing the connection.
 """
 
 import json
@@ -241,6 +243,46 @@ class TestServerEndToEnd:
         assert by_status == ["error", "error", "ok"]
         ok = next(frame for frame in frames if frame["status"] == "ok")
         assert ok["id"] == 9
+
+    def test_long_line_answered_with_the_next_one(self):
+        # Far past the stream's 64 KiB buffer limit: the line is read
+        # in chunks, and the request pipelined behind it is answered.
+        source = '(string-length "' + "x" * (1 << 20) + '")'
+        with ServerThread(ServeConfig(workers=2)) as st:
+            with socket.create_connection((st.host, st.port),
+                                          timeout=30) as sock:
+                f = sock.makefile("rwb")
+                f.write(json.dumps({"id": 1, "op": "run",
+                                    "source": source}).encode() + b"\n")
+                f.write(b'{"id": 2, "op": "run", "source": "(+ 1 2)"}\n')
+                f.flush()
+                frames = {frame["id"]: frame for frame in
+                          (json.loads(f.readline()) for _ in range(2))}
+        assert frames[1]["status"] == "ok", frames[1]
+        assert frames[1]["value"] == str(1 << 20)
+        assert frames[2]["value"] == "3"
+
+    def test_line_past_the_limit_refused_connection_kept(self,
+                                                         monkeypatch):
+        from repro.serve import server
+
+        monkeypatch.setattr(server, "MAX_REQUEST_BYTES", 100_000)
+        oversized = json.dumps({"id": 1, "op": "run",
+                                "source": " " * 300_000 + "1"})
+        with ServerThread(ServeConfig(workers=1)) as st:
+            with socket.create_connection((st.host, st.port),
+                                          timeout=30) as sock:
+                f = sock.makefile("rwb")
+                f.write(oversized.encode() + b"\n")
+                f.flush()
+                refused = json.loads(f.readline())
+                f.write(b'{"id": 2, "op": "ping"}\n')
+                f.flush()
+                after = json.loads(f.readline())
+        assert refused["status"] == "error"
+        assert refused["error"]["type"] == "request_too_large"
+        assert exit_code_for(refused) == 1
+        assert after["id"] == 2 and after["value"] == "pong"
 
     @pytest.mark.parametrize("deadline",
                              [float("nan"), float("inf"), float("-inf")])

@@ -257,6 +257,13 @@ def _assert_gc_block(block: dict, threshold: list[int]) -> None:
     assert all(isinstance(n, int) and n >= 0
                for n in block["collections"])
     assert block["gen2_pause_total_s"] >= block["gen2_pause_max_s"] >= 0
+    # Every generation is timed; gen-2 is the last of each list.
+    assert len(block["pause_total_s"]) == len(block["pause_max_s"]) == 3
+    for total, longest in zip(block["pause_total_s"], block["pause_max_s"]):
+        assert total >= longest >= 0
+    assert block["pause_total_s"][2] == pytest.approx(
+        block["gen2_pause_total_s"])
+    assert block["pause_max_s"][2] == block["gen2_pause_max_s"]
 
 
 class TestGcTelemetry:
@@ -308,6 +315,11 @@ class TestGcTelemetry:
             sum(worker["gen2_pause_total_s"] for worker in per_worker))
         assert block["gen2_pause_max_s"] == max(
             worker["gen2_pause_max_s"] for worker in per_worker)
+        for gen in range(3):
+            assert block["pause_total_s"][gen] == pytest.approx(
+                sum(worker["pause_total_s"][gen] for worker in per_worker))
+            assert block["pause_max_s"][gen] == max(
+                worker["pause_max_s"][gen] for worker in per_worker)
 
     def test_in_process_thread_server_keeps_host_gc(self):
         with ServerThread(ServeConfig(workers=2)) as st:
@@ -316,3 +328,20 @@ class TestGcTelemetry:
         assert block["threshold"] == list(gc.get_threshold())
         assert block["gen2_pause_total_s"] is None
         assert block["gen2_pause_max_s"] is None
+        assert block["pause_total_s"] is None
+        assert block["pause_max_s"] is None
+
+    def test_probe_times_young_collections(self, monkeypatch):
+        from repro.serve import server
+
+        timer = server._CollectionTimer()
+        monkeypatch.setattr(server, "_collections", timer)
+        gc.callbacks.append(timer)
+        try:
+            gc.collect(0)
+            gc.collect(1)
+            block = server.gc_stats()
+        finally:
+            gc.callbacks.remove(timer)
+        assert all(pause > 0 for pause in block["pause_max_s"][:2])
+        assert block["pause_total_s"][2] == block["gen2_pause_total_s"] == 0

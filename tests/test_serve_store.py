@@ -18,6 +18,7 @@ on:
   at all (the ``tests/test_cache_differential.py`` pattern).
 """
 
+import sys
 import threading
 from concurrent.futures import ThreadPoolExecutor
 
@@ -139,6 +140,36 @@ class TestConcurrentStore:
         assert errors == []
         assert len(lru) == lru.maxsize
 
+    def test_admission_state_holds_under_concurrent_sightings(self):
+        # The parse store's window and ghost list change under its
+        # table's lock: racing sightings never leave a window key out
+        # of the table, a ghost in it, or more than maxsize entries.
+        lru = ucache.AdmittingCache("t", maxsize=4)
+        errors: list[str] = []
+
+        def hammer(worker: int) -> None:
+            for i in range(400):
+                key = (worker + i * 7) % 9
+                lru.put(key, key * 10)
+                probe = (key + worker) % 9
+                found = lru.get(probe)
+                if found is not ucache._MISS and found != probe * 10:
+                    errors.append(f"{probe}: {found!r}")
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            with ThreadPoolExecutor(max_workers=8) as pool:
+                list(pool.map(hammer, range(8)))
+        finally:
+            sys.setswitchinterval(interval)
+        assert errors == []
+        assert len(lru) <= lru.maxsize
+        assert len(lru._window) <= ucache._WINDOW
+        assert set(lru._window) <= set(lru._table)
+        assert not set(lru._ghosts) & set(lru._table)
+        assert len(lru._ghosts) <= lru.maxsize
+
 
 class TestDiskTierHardening:
     def test_atomic_write_no_residue(self, tmp_path):
@@ -200,12 +231,15 @@ class TestEvictionChurnDifferential:
         out = []
         scope = (cache_store_scope(store) if store is not None
                  else terms.caching(False))
+        # Churn: revisit every program, back to back, then interleaved
+        # (each revisit a ghost re-sighting in the parse store).
+        order = [source for source in self.SOURCES for _ in range(3)]
+        order += self.SOURCES * 3
         with scope:
-            for source in self.SOURCES:
-                for _repeat in range(3):  # churn: revisit every program
-                    out.append(run_pipeline(
-                        {"op": "run", "source": source,
-                         "backend": "interp"}, {}))
+            for source in order:
+                out.append(run_pipeline(
+                    {"op": "run", "source": source, "backend": "interp"},
+                    {}))
         return out
 
     def test_churning_store_matches_uncached(self):

@@ -6,6 +6,9 @@ The invariants under test:
   never observe another caller's cache state;
 * every lookup emits exactly one ``cache.hit``/``cache.miss`` event
   naming its cache, and evictions emit ``cache.evict``;
+* the parse store admits a text on its second sighting: a first one
+  waits in a small window, a text that leaves it unhit leaves only its
+  digest, and recording a verdict or code is not a sighting;
 * the parse entry's check verdict skips re-checking a served program
   only in the strictness mode it passed, never for a failure or an
   exhausted check; libraries are part of the text it was given for;
@@ -88,6 +91,84 @@ class TestTermCacheStore:
         assert store.get("b") is not store.get("a")
         evicts = _cache_events(col, "cache.evict")
         assert [e.fields["cache"] for e in evicts] == ["t"]
+
+
+class TestParseStoreAdmission:
+    """The parse store admits a text to its LRU on the second sighting
+    (2Q): a first sighting waits in a small window, and a text that
+    leaves the window unhit leaves only its digest, as a ghost."""
+
+    def _lookup(self, key):
+        """One ``cached_parse`` sighting of ``key``; its events."""
+        with obs.collecting() as col:
+            cache.cached_parse("p", "o", key, lambda: key)
+        return [e.kind for e in col.events
+                if e.kind in ("cache.hit", "cache.miss", "cache.evict")]
+
+    def test_first_sighting_is_held_only_in_the_window(self):
+        store = cache.CacheStore().parse
+        store.put("a", 1)
+        assert list(store._window) == ["a"]
+        assert list(store._table) == ["a"] and not store._ghosts
+
+    def test_hit_in_the_window_admits(self):
+        store = cache.CacheStore().parse
+        store.put("a", 1)
+        assert store.get("a") == 1
+        assert "a" in store._table and not store._window
+
+    def test_ghost_resighting_misses_then_admits(self, monkeypatch):
+        monkeypatch.setattr(cache, "_WINDOW", 1)
+        with unit_cache_scope() as scope:
+            store = scope.parse
+            assert self._lookup("A") == ["cache.miss"]
+            # B pushes A out of the window: only A's digest stays.
+            assert self._lookup("B") == ["cache.miss", "cache.evict"]
+            a_key = cache.parse_key("p", "o", "A")
+            assert list(store._ghosts) == [a_key]
+            assert a_key not in store._table
+            assert self._lookup("A") == ["cache.miss"]
+            assert a_key in store._table and a_key not in store._window
+            assert not store._ghosts
+            assert self._lookup("A") == ["cache.hit"]
+
+    def test_record_entry_is_not_a_sighting(self, monkeypatch):
+        monkeypatch.setattr(cache, "_WINDOW", 1)
+        with unit_cache_scope() as scope:
+            store = scope.parse
+            first = cache.cached_parse("p", "o", "A", lambda: "A")
+            recorded = cache.record_entry(
+                first._replace(verdict=frozenset({True})))
+            assert list(store._window) == [first.key]
+            assert store._table[first.key] == recorded
+            cache.cached_parse("p", "o", "B", lambda: "B")
+            cache.record_entry(first._replace(verdict=frozenset({False})))
+            assert first.key not in store._table
+            assert list(store._ghosts) == [first.key]
+
+    def test_clear_forgets_the_ghosts(self):
+        store = cache.CacheStore().parse
+        for key in "abcd":
+            store.put(key, key)
+        assert store._ghosts
+        store.clear()
+        assert not (store._table or store._window or store._ghosts)
+        store.put("a", "a")
+        assert list(store._window) == ["a"]  # a first sighting again
+
+    @pytest.mark.parametrize("maxsize", [1, 2, 3, 8])
+    def test_size_bound_holds(self, maxsize):
+        store = cache.AdmittingCache("t", maxsize)
+        for step in range(400):
+            key = (step * 7919) % 13
+            if step % 3:
+                store.put(key, key)
+            elif store.get(key) is not cache._MISS:
+                assert store._table[key] == key
+            assert len(store) <= maxsize
+            assert len(store._ghosts) <= maxsize
+            assert set(store._window) <= set(store._table)
+            assert not set(store._ghosts) & set(store._table)
 
 
 class TestScoping:
